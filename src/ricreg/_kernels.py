@@ -1,12 +1,15 @@
 """Inner integration loops.
 
-The quadratic-flow step count in a single fit can reach 1e7, so the loops are
-JIT-compiled when numba is available (set RICREG_DISABLE_NUMBA=1 to force the
-NumPy path).  On the NumPy path, single-row blocks do not step through the
-matrices: ``_rk4_rank1_rowspace`` runs a whole block as one scalar recurrence
-plus one rank-1 update, and agrees with the per-step reference
-``_rk4_dense_numpy`` to rounding.  The other NumPy loops repeat the JIT
-arithmetic up to summation order, much more slowly.
+Every data block, single- or multi-row, is integrated in its row space by
+``_rk4_rowspace``: with U = P0 phi^T, every RK4 stage of every step keeps
+P = P0 - U C U^T, and in the eigenbasis of the m x m matrix phi U the
+recurrence for C splits into m scalar loops.  A block is one m x m eigh, m
+scalar loops and one rank-m update of (P, q), and agrees with the per-step
+reference ``_rk4_dense_numpy`` to rounding.  The per-step loops that remain
+(the diagonal weight flow, the KO trajectory, and single-row blocks when
+numba is present) are JIT-compiled when numba is available (set
+RICREG_DISABLE_NUMBA=1 to force the NumPy path); their NumPy versions repeat
+the JIT arithmetic up to summation order, much more slowly.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -39,7 +42,7 @@ if _USE_NUMBA:
         _USE_NUMBA = False
 
 
-# -- NumPy reference implementation -----------------------------------------
+# -- NumPy implementation ---------------------------------------------------
 
 
 def _rk4_dense_numpy(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
@@ -81,19 +84,11 @@ def _rk4_diag_numpy(p, q, r, d, h, nsteps, symmetrize, track_loss):
     return r
 
 
-def _rk4_rank1_rowspace(p, q, r, phi, y, h, nsteps, track_loss):
-    # Single-row blocks.  Every RK4 stage of every step lies in span{u0},
-    # u0 = p^T phi, so after k steps p = p0 - c_k u0 u0^T and
-    # q = q0 - b0 c_k u0 (a0 = phi^T u0, b0 = phi^T q0 - y).  Then
-    # p_k^T phi = s_k u0 with s_k = 1 - c_k a0, the stage factors m_j of a
-    # step depend on g = h a0 s_k / 2 alone, and s_k is classical RK4 on
-    # ds/dt = -a0 s^2, s(0) = 1.  The residual stages are m_j b0 s_k, so q
-    # and r move with c: dq = -b0 dc u0 and dr = -b0^2 dc / 2.  A whole block
-    # is one scalar loop plus one rank-1 update, equal to the per-step
-    # recurrence up to rounding.
-    u = p.T @ phi
-    a = float(u @ phi)
-    b = float(phi @ q) - y
+def _rk4_decay(a, h, nsteps):
+    # Classical RK4 on ds/dt = -a s^2, s(0) = 1, written through its stage
+    # factors m_j (which depend on g = h a s / 2 alone).  Returns
+    # c = (h/6) sum_k (m1^2 + 2 m2^2 + 2 m3^2 + m4^2) s_k^2, the RK4 integral
+    # of s^2 with s = 1 - c a, or NaN if the run blows up.
     half_ha = 0.5 * h * a
     ha6 = h * a / 6.0
     s = 1.0
@@ -109,16 +104,57 @@ def _rk4_rank1_rowspace(p, q, r, phi, y, h, nsteps, track_loss):
         w = (1.0 + 2.0 * (m2sq + m3sq) + m4 * m4) * (s * s)
         c += w
         if not c < inf:  # w >= 0, so c only grows: this catches inf and NaN
-            # Blown up: the state is undefined from here on; NaN marks all
-            # of it (without NumPy's inf * 0 warnings) for the caller to report.
-            c = math.nan
-            break
+            return math.nan
         s -= ha6 * w
-    c *= h / 6.0
-    p -= c * np.outer(u, u)
-    q -= (b * c) * u
+    return c * (h / 6.0)
+
+
+def _rk4_rowspace(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
+    # A whole block in its row space.  With U = p0^T phi^T (n x m) every RK4
+    # stage of every step keeps p = p0 - U C U^T and q = q0 - U e, and C, e
+    # follow RK4 on an m x m flow with G = phi U.  In the eigenbasis
+    # G = V diag(lam) V^T that flow decouples (RK4 commutes with the
+    # orthogonal change of variables): with W = U V and bh = V^T (phi q0 - y),
+    #     p = p0 - W diag(c) W^T,  q = q0 - W (bh * c),  dr = -sum bh^2 dc / 2,
+    # where each c_i is the scalar recurrence of ``_rk4_decay`` with a = lam_i.
+    # A block is one eigh, m scalar loops and one rank-m update, equal to the
+    # per-step recurrence up to rounding.  (``.dot`` in place of ``@`` skips the
+    # ufunc dispatch that dominates the one-step calls of small blocks.)
+    m, n = phi.shape
+    loss_rate = 0.0
+    if m > n:
+        # The flow sees phi only through phi^T phi, phi^T y and ||y||^2, so
+        # phi = Q R gives the same flow with R and Q^T y, plus the constant
+        # loss rate of the residual y - Q Q^T y, which RK4 integrates exactly.
+        basis, phi = np.linalg.qr(phi)
+        y_in = basis.T @ y
+        rest = y - basis @ y_in
+        loss_rate = float(rest @ rest)
+        y = y_in
+    u = p.T.dot(phi.T)
+    b = phi.dot(q) - y
+    g = phi.dot(u)
+    if g.shape[0] == 1:
+        lam, w, bh = g[0], u, b
+    else:
+        lam, v = np.linalg.eigh(0.5 * (g + g.T))
+        w, bh = u.dot(v), b.dot(v)
+    c = [_rk4_decay(a, h, nsteps) for a in lam.tolist()]
+    if any(map(math.isnan, c)):
+        # Blown up: the state is undefined from here on; NaN marks all of it
+        # (without NumPy's inf * 0 warnings) for the caller to report.
+        p[:] = math.nan
+        q[:] = math.nan
+        return math.nan
+    wc = w * np.array(c)
+    p -= wc.dot(w.T)
+    if symmetrize:
+        # One pass over the result makes both p0 and the update symmetric.
+        p[:] = 0.5 * (p + p.T)
+    q -= wc.dot(bh)
     if track_loss:
-        r -= 0.5 * b * b * c
+        fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
+        r -= 0.5 * (fit_loss + loss_rate * h * nsteps)
     return r
 
 
@@ -145,41 +181,6 @@ def _integrate_ko_numpy(x0, h, nsteps):
 if _USE_NUMBA:
 
     @njit(cache=True)
-    def _dense_stage(phi, y, pc, qc, w, v, dp, dq, track_loss):
-        m, n = phi.shape
-        for i in range(m):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += phi[i, k] * pc[k, j]
-                w[i, j] = acc
-        for i in range(m):
-            acc = -y[i]
-            for k in range(n):
-                acc += phi[i, k] * qc[k]
-            v[i] = acc
-        # -(w^T w) is exactly symmetric; fill the upper triangle and mirror.
-        for a in range(n):
-            for b in range(a, n):
-                acc = 0.0
-                for i in range(m):
-                    acc += w[i, a] * w[i, b]
-                dp[a, b] = -acc
-                dp[b, a] = -acc
-        for a in range(n):
-            acc = 0.0
-            for i in range(m):
-                acc += w[i, a] * v[i]
-            dq[a] = -acc
-        dr = 0.0
-        if track_loss:
-            s = 0.0
-            for i in range(m):
-                s += v[i] * v[i]
-            dr = -0.5 * s
-        return dr
-
-    @njit(cache=True)
     def _diag_stage(d, pc, qc, dp, dq, track_loss):
         n = d.shape[0]
         for a in range(n):
@@ -201,55 +202,6 @@ if _USE_NUMBA:
                 s += d[k] * qc[k] * qc[k]
             dr = -0.5 * s
         return dr
-
-    @njit(cache=True)
-    def _rk4_dense_numba(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
-        m, n = phi.shape
-        w = np.empty((m, n))
-        v = np.empty(m)
-        k1p = np.empty((n, n))
-        k2p = np.empty((n, n))
-        k3p = np.empty((n, n))
-        k4p = np.empty((n, n))
-        k1q = np.empty(n)
-        k2q = np.empty(n)
-        k3q = np.empty(n)
-        k4q = np.empty(n)
-        tp = np.empty((n, n))
-        tq = np.empty(n)
-        half = 0.5 * h
-        sixth = h / 6.0
-        for _ in range(nsteps):
-            k1r = _dense_stage(phi, y, p, q, w, v, k1p, k1q, track_loss)
-            for a in range(n):
-                for b in range(n):
-                    tp[a, b] = p[a, b] + half * k1p[a, b]
-                tq[a] = q[a] + half * k1q[a]
-            k2r = _dense_stage(phi, y, tp, tq, w, v, k2p, k2q, track_loss)
-            for a in range(n):
-                for b in range(n):
-                    tp[a, b] = p[a, b] + half * k2p[a, b]
-                tq[a] = q[a] + half * k2q[a]
-            k3r = _dense_stage(phi, y, tp, tq, w, v, k3p, k3q, track_loss)
-            for a in range(n):
-                for b in range(n):
-                    tp[a, b] = p[a, b] + h * k3p[a, b]
-                tq[a] = q[a] + h * k3q[a]
-            k4r = _dense_stage(phi, y, tp, tq, w, v, k4p, k4q, track_loss)
-            for a in range(n):
-                for b in range(n):
-                    p[a, b] += sixth * (
-                        k1p[a, b] + 2.0 * k2p[a, b] + 2.0 * k3p[a, b] + k4p[a, b]
-                    )
-                q[a] += sixth * (k1q[a] + 2.0 * k2q[a] + 2.0 * k3q[a] + k4q[a])
-            r += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            if symmetrize:
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        mean = 0.5 * (p[a, b] + p[b, a])
-                        p[a, b] = mean
-                        p[b, a] = mean
-        return r
 
     @njit(cache=True)
     def _rk4_rank1_numba(p, q, r, phi, y, h, nsteps, track_loss):
@@ -388,26 +340,15 @@ def _writable(arr):
 
 
 def rk4_dense(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
-    if phi.shape[0] == 1:
+    if _USE_NUMBA and phi.shape[0] == 1:
         # The rank-1 step applies exactly symmetric updates, so one up-front
         # symmetrization makes the per-step (p + p^T)/2 a no-op.
         if symmetrize:
             p[:] = 0.5 * (p + p.T)
-        row = _writable(phi[0])
-        if _USE_NUMBA:
-            return _rk4_rank1_numba(
-                p, q, r, row, float(y[0]), float(h), int(nsteps), track_loss
-            )
-        return _rk4_rank1_rowspace(
-            p, q, r, row, float(y[0]), float(h), int(nsteps), track_loss
+        return _rk4_rank1_numba(
+            p, q, r, _writable(phi[0]), float(y[0]), float(h), int(nsteps), track_loss
         )
-    phi = _writable(phi)
-    y = _writable(y)
-    if _USE_NUMBA:
-        return _rk4_dense_numba(
-            p, q, r, phi, y, float(h), int(nsteps), symmetrize, track_loss
-        )
-    return _rk4_dense_numpy(p, q, r, phi, y, float(h), int(nsteps), symmetrize, track_loss)
+    return _rk4_rowspace(p, q, r, phi, y, float(h), int(nsteps), symmetrize, track_loss)
 
 
 def rk4_diag(p, q, r, d, h, nsteps, symmetrize, track_loss):
@@ -429,12 +370,11 @@ def integrate_ko(x0, h, nsteps):
 def warm_up():
     """Trigger JIT compilation on tiny inputs so later calls run at full speed.
 
-    Exercises both dispatch targets of ``rk4_dense`` (the single-row fast path
-    and the general dense loop) plus the diagonal and trajectory kernels.
+    Exercises the single-row step of ``rk4_dense`` plus the diagonal and
+    trajectory kernels.
     """
     p = np.eye(2)
     q = np.zeros(2)
     rk4_dense(p.copy(), q.copy(), 0.0, np.ones((1, 2)), np.ones(1), 1e-3, 1, True, True)
-    rk4_dense(p.copy(), q.copy(), 0.0, np.ones((2, 2)), np.ones(2), 1e-3, 1, True, True)
     rk4_diag(p.copy(), q.copy(), 0.0, np.ones(2), 1e-3, 1, True, True)
     integrate_ko(np.array([1.0, 0.8, 0.5]), 1e-3, 1)

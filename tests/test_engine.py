@@ -109,6 +109,17 @@ class TestRk4Step:
                     integrate_block(st, blk, 5.0, IntegrationConfig(step_h=h), direction)
 
 
+    def test_multi_row_blow_up_is_reported_without_runtime_warnings(self):
+        # Removing a 2-row block that was never added: the row-space loops
+        # overflow and the whole state must be reported, without warnings.
+        st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))
+        blk = DataBlock(phi=[[50.0, 0.0], [10.0, 30.0]], y=[1.0, -2.0], lam=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match="smaller step"):
+                integrate_block(st, blk, 5.0, IntegrationConfig(step_h=0.05), "backward")
+
+
 class TestIntegrateBlock:
     def test_zero_duration_returns_state(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])

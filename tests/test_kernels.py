@@ -1,9 +1,10 @@
 """Cross-checks between the kernel implementations.
 
 Whatever implementation `rk4_dense`/`rk4_diag`/`integrate_ko` dispatch to
-(JIT single-row fast path, JIT dense loops, the NumPy single-row row-space
-recurrence, or the NumPy dense loops) must agree with the plain NumPy
-per-step reference to rounding error.
+(the row-space recurrence that runs every block, single- or multi-row; the
+JIT single-row, diagonal and trajectory loops; or the NumPy diagonal and
+trajectory loops) must agree with the plain NumPy per-step reference to
+rounding error.
 """
 
 import numpy as np
@@ -15,6 +16,22 @@ from ricreg import _kernels
 def _spd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def _assert_close(got, ref):
+    """Agreement to 1e-13 relative to max(1, |reference|)."""
+    (p_a, q_a, r_a), (p_b, q_b, r_b) = got, ref
+    assert np.max(np.abs(p_a - p_b)) < 1e-13 * max(1.0, np.max(np.abs(p_b)))
+    assert np.max(np.abs(q_a - q_b)) < 1e-13 * max(1.0, np.max(np.abs(q_b)))
+    assert abs(r_a - r_b) < 1e-13 * max(1.0, abs(r_b))
+
+
+def _both(p0, q0, r0, phi, y, h, nsteps, track_loss=True):
+    p_a, q_a = p0.copy(), q0.copy()
+    r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, True, track_loss)
+    p_b, q_b = p0.copy(), q0.copy()
+    r_b = _kernels._rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
+    return (p_a, q_a, r_a), (p_b, q_b, r_b)
 
 
 class TestDenseKernel:
@@ -44,6 +61,83 @@ class TestDenseKernel:
         _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True, True)
         assert np.array_equal(p, p.T)
 
+    def test_multi_row_path_keeps_p_exactly_symmetric(self):
+        rng = np.random.default_rng(2)
+        n = 6
+        p = np.linalg.inv(_spd(rng, n))
+        q = rng.normal(size=n)
+        phi = np.ascontiguousarray(rng.normal(size=(4, n)))
+        y = np.ascontiguousarray(rng.normal(size=4))
+        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True, True)
+        assert np.array_equal(p, p.T)
+
+    # Multi-row blocks (m > 1) against the per-step reference.
+
+    @staticmethod
+    def _case(n, m, seed=5):
+        rng = np.random.default_rng(seed)
+        p0 = np.linalg.inv(_spd(rng, n))
+        p0 = 0.5 * (p0 + p0.T)
+        return p0, rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
+
+    # m = 8 at n = 5 takes the thin-QR path (more rows than features).  The
+    # backward runs stay inside a quarter of the blow-up time 1 / max eig(G).
+    @pytest.mark.parametrize("h, nsteps", [(1e-2, 100), (-1e-3, 100)])
+    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_multi_row_matches_numpy_reference(self, m, n, h, nsteps):
+        p0, q0, phi, y = self._case(n, m)
+        _assert_close(*_both(p0, q0, 0.5, phi, y, h, nsteps))
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_multi_row_long_run(self, m):
+        p0, q0, phi, y = self._case(5, m)
+        _assert_close(*_both(p0, q0, 0.5, phi, y, 1e-4, 10_000))
+
+    def test_duplicate_rows(self):
+        # G = phi p0 phi^T is singular: two of its eigenvalues are zero.
+        p0, q0, phi, y = self._case(6, 2)
+        phi = np.vstack([phi, phi])
+        y = np.concatenate([y, y[::-1]])
+        _assert_close(*_both(p0, q0, 0.5, phi, y, 1e-2, 100))
+
+    def test_zero_block(self):
+        # p and q stay put, only the loss accumulates.
+        p0, q0, _, y = self._case(6, 3)
+        phi = np.zeros((3, 6))
+        got, ref = _both(p0, q0, 0.5, phi, y, 1e-2, 100)
+        assert np.array_equal(got[0], p0)
+        assert np.array_equal(got[1], q0)
+        _assert_close(got, ref)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_untracked_loss_leaves_r_untouched(self, m, h):
+        p0, q0, phi, y = self._case(5, m)
+        got, ref = _both(p0, q0, 0.75, phi, y, h, 100, track_loss=False)
+        assert got[2] == 0.75
+        _assert_close(got, ref)
+
+    def test_blow_up_marks_whole_state_nan(self):
+        p0, q0, phi, y = self._case(5, 4)
+        p, q = p0.copy(), q0.copy()
+        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100, True, False)
+        assert np.isnan(p).all() and np.isnan(q).all() and np.isnan(r)
+
+    def test_add_then_remove(self):
+        # The edit regime of Gaussian blocks at n = 100, m = 4 from p0 = I:
+        # h * max eig(G) is about 0.1, half of the integration runs backward.
+        _, _, phi, y = self._case(100, 4)
+        p0, q0 = np.eye(100), np.zeros(100)
+        added = _both(p0, q0, 0.0, phi, y, 1e-3, 50)
+        _assert_close(*added)
+        (p_a, q_a, r_a), (p_b, q_b, r_b) = added
+        r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50, True, True)
+        r_b = _kernels._rk4_dense_numpy(p_b, q_b, r_b, phi, y, -1e-3, 50, True, True)
+        got, ref = (p_a, q_a, r_a), (p_b, q_b, r_b)
+        _assert_close(got, ref)
+        assert np.max(np.abs(got[0] - p0)) < 1e-7
+
 
 class TestSingleRowKernel:
     """Single-row blocks against the per-step dense reference."""
@@ -59,14 +153,6 @@ class TestSingleRowKernel:
         y = rng.normal(size=1)
         return p0, q0, phi, y
 
-    @staticmethod
-    def _both(p0, q0, r0, phi, y, h, nsteps, track_loss):
-        p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, True, track_loss)
-        p_b, q_b = p0.copy(), q0.copy()
-        r_b = _kernels._rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
-        return (p_a, q_a, r_a), (p_b, q_b, r_b)
-
     # h * nsteps is one time unit either way: backward runs stay well inside
     # the blow-up time 1 / (phi^T p0 phi) of this instance.
     @pytest.mark.parametrize(
@@ -74,15 +160,12 @@ class TestSingleRowKernel:
     )
     def test_matches_numpy_reference_forward_and_backward(self, h, nsteps):
         p0, q0, phi, y = self._case()
-        (p_a, q_a, r_a), (p_b, q_b, r_b) = self._both(p0, q0, 0.5, phi, y, h, nsteps, True)
-        assert np.max(np.abs(p_a - p_b)) < 1e-13 * max(1.0, np.max(np.abs(p_b)))
-        assert np.max(np.abs(q_a - q_b)) < 1e-13 * max(1.0, np.max(np.abs(q_b)))
-        assert abs(r_a - r_b) < 1e-13 * max(1.0, abs(r_b))
+        _assert_close(*_both(p0, q0, 0.5, phi, y, h, nsteps))
 
     @pytest.mark.parametrize("h", [1e-3, -1e-3])
     def test_untracked_loss_leaves_r_untouched(self, h):
         p0, q0, phi, y = self._case()
-        (p_a, q_a, r_a), (p_b, q_b, _) = self._both(p0, q0, 0.75, phi, y, h, 500, False)
+        (p_a, q_a, r_a), (p_b, q_b, _) = _both(p0, q0, 0.75, phi, y, h, 500, False)
         assert r_a == 0.75
         assert np.max(np.abs(p_a - p_b)) < 1e-13
         assert np.max(np.abs(q_a - q_b)) < 1e-13
@@ -91,7 +174,7 @@ class TestSingleRowKernel:
         # a0 = phi^T p phi = 0: p and q stay put, only the loss accumulates.
         p0, q0, _, y = self._case()
         phi = np.zeros((1, p0.shape[0]))
-        (p_a, q_a, r_a), (_, _, r_b) = self._both(p0, q0, 0.5, phi, y, 1e-2, 100, True)
+        (p_a, q_a, r_a), (_, _, r_b) = _both(p0, q0, 0.5, phi, y, 1e-2, 100, True)
         assert np.array_equal(p_a, p0)
         assert np.array_equal(q_a, q0)
         assert abs(r_a - r_b) < 1e-13
