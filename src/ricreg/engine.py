@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _SIGNS = {"forward": 1.0, "backward": -1.0}
+_TRACE_CHUNK = 256  # steps of a traced phase evaluated together
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,11 @@ def _new_elapsed(elapsed: float, signed_duration: float) -> float:
     return out
 
 
-def _split_steps(duration: float, h: float) -> tuple[int, float]:
-    """Number of full steps of size h plus the final partial step landing
-    exactly on ``duration``."""
-    k = int(math.ceil(duration / h - 1e-9))
-    if k < 1:
-        k = 1
-    last = duration - (k - 1) * h
-    return k - 1, last
+def _split_steps(duration: float, h: float, sign: float) -> tuple[float, int, float]:
+    """Signed step size, number of steps, and signed size of the final step,
+    which lands exactly on ``duration``."""
+    k = max(1, int(math.ceil(duration / h - 1e-9)))
+    return sign * h, k, sign * (duration - (k - 1) * h)
 
 
 def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
@@ -157,10 +155,8 @@ def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> Riccati
     p = state.p.copy()
     q = state.q.copy()
     r = state.r if track else 0.0
-    nfull, last = _split_steps(duration, cfg.step_h)
-    if nfull:
-        r = _kernels.rk4_dense(p, q, r, phi, y, sign * cfg.step_h, nfull, cfg.symmetrize, track)
-    r = _kernels.rk4_dense(p, q, r, phi, y, sign * last, 1, cfg.symmetrize, track)
+    h, nsteps, last = _split_steps(duration, cfg.step_h, sign)
+    r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, cfg.symmetrize, track, last, True)
     _check_finite(p, q, r, direction)
     return RiccatiState(
         p=p,
@@ -174,23 +170,9 @@ def rk4_step(
     state: RiccatiState, block: DataBlock, h: float, direction: str = "forward"
 ) -> RiccatiState:
     """One classical RK4 step of size +h (forward) or -h (backward)."""
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    cfg = IntegrationConfig(step_h=h)
     validate_block(block, state.n)
-    sign = _sign_of(direction)
-    track = state.r is not None
-    p = state.p.copy()
-    q = state.q.copy()
-    r = _kernels.rk4_dense(
-        p, q, state.r if track else 0.0, block.phi, block.y, sign * h, 1, True, track
-    )
-    _check_finite(p, q, r, direction)
-    return RiccatiState(
-        p=p,
-        q=q,
-        r=r if track else None,
-        elapsed=_new_elapsed(state.elapsed, sign * h),
-    )
+    return _run_dense(state, block.phi, block.y, h, cfg, direction)
 
 
 def integrate_block(
@@ -297,52 +279,65 @@ def tune_lambda(
     return integrate_block(state, block, abs(delta), cfg, direction)
 
 
-def _run_diag(p, q, r, d, duration, cfg, direction, track) -> float:
-    sign = _sign_of(direction)
-    nfull, last = _split_steps(duration, cfg.step_h)
-    if nfull:
-        r = _kernels.rk4_diag(p, q, r, d, sign * cfg.step_h, nfull, cfg.symmetrize, track)
-    r = _kernels.rk4_diag(p, q, r, d, sign * last, 1, cfg.symmetrize, track)
+def _run_diag(p, q, r, d, cfg, direction, track, factors=None) -> float:
+    # Unit-duration diagonal flow, one row-space run of the kernel.
+    h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
+    r = _kernels.rk4_diag(p, q, r, d, h, nsteps, cfg.symmetrize, track, last, True, factors)
     _check_finite(p, q, r, direction)
     return r
 
 
-def _trace_point(trace, p, q, r, gamma_eff, theta0):
-    x = gamma_eff * theta0
-    theta = p @ x + q
-    s_value = 0.5 * float(x @ (p @ x)) + float(q @ x) + r
-    total = -s_value + 0.5 * float(theta0 @ x)
+def _trace_points(trace, p0, q0, r0, w, bh, c, gammas, theta0):
+    # One trace point per row c_k of c (and of the weights gammas), for the
+    # state p0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2.
+    x = gammas * theta0
+    z = x.dot(w)
+    theta = x.dot(p0.T) + q0 - (c * (z + bh)).dot(w.T)
+    # x^T P_k x + q_k^T x = x^T theta_k, and q_k^T x = q0^T x - (c_k * z_k)^T bh.
+    qx = x.dot(q0) - (c * z).dot(bh)
+    r = r0 - 0.5 * c.dot(bh * bh)
+    s_value = 0.5 * (np.einsum("ij,ij->i", x, theta) + qx) + r
+    total = -s_value + 0.5 * x.dot(theta0)
     diff = theta - theta0
-    reg_weighted = 0.5 * float(gamma_eff @ (diff * diff))
-    trace.append(
-        TraceRecord(
-            effective_hyperparam=float(np.mean(gamma_eff)),
-            theta=theta,
-            data_fit=total - reg_weighted,
-            reg_norm=0.5 * float(diff @ diff),
-        )
-    )
+    data_fit = total - 0.5 * np.einsum("ij,ij,ij->i", gammas, diff, diff)
+    reg_norm = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    for label, th, fit_, reg in zip(
+        gammas.mean(axis=1).tolist(), theta, data_fit.tolist(), reg_norm.tolist()
+    ):
+        trace.append(TraceRecord(label, th, fit_, reg))
+
+
+def _trace_point(trace, p, q, r, gamma_eff, theta0):
+    # The point of the state (p, q, r) itself: no factors.
+    no_w = np.zeros((len(q), 0))
+    _trace_points(trace, p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
 
 
 def _run_diag_traced(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) -> float:
     """Unit-duration diagonal flow, recording one trace point per step.
 
-    ``gamma_at(t)`` maps progress t in [0, 1) through the phase to the
-    regularization weights whose exact solution the state then represents;
-    the last point is labelled with the phase's exact end weights
-    ``gamma_end``, so that it is identical to the first point of whatever
-    continues from the same state.
+    ``gamma_at(t)`` maps progress values t in [0, 1) through the phase (a
+    column, one per row of the result) to the regularization weights whose
+    exact solution the state then represents.  The phase is one row-space run
+    of the kernel, which also hands back the factors W, bh and the running
+    integrals c_k after every step, so the state after step k is
+    P0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2; the
+    interior points are evaluated from these in chunks of ``_TRACE_CHUNK``
+    steps.  The last point is evaluated from the final state and labelled with
+    the phase's exact end weights ``gamma_end``, so that it is identical to the
+    first point of whatever continues from the same state.  A phase that fails
+    records nothing.
     """
-    sign = _sign_of(direction)
-    nfull, last = _split_steps(1.0, cfg.step_h)
-    t = 0.0
-    for _ in range(nfull):
-        r = _kernels.rk4_diag(p, q, r, d, sign * cfg.step_h, 1, cfg.symmetrize, True)
-        t += cfg.step_h
-        _trace_point(trace, p, q, r, gamma_at(t), theta0)
-    r = _kernels.rk4_diag(p, q, r, d, sign * last, 1, cfg.symmetrize, True)
+    p0, q0, r0 = p.copy(), q.copy(), r
+    factors = []
+    r = _run_diag(p, q, r, d, cfg, direction, True, factors)
+    w, bh, c = factors[0]
+    # Progress after each full step, summed in the same order as stepping.
+    t = np.cumsum(np.full(len(c), cfg.step_h))
+    for start in range(0, len(c), _TRACE_CHUNK):
+        rows = slice(start, start + _TRACE_CHUNK)
+        _trace_points(trace, p0, q0, r0, w, bh, c[rows], gamma_at(t[rows, None]), theta0)
     _trace_point(trace, p, q, r, gamma_end, theta0)
-    _check_finite(p, q, r, direction)
     return r
 
 
@@ -393,7 +388,7 @@ def tune_gamma(
                 lambda t: gamma0 + t * d_up, up_end, theta0,
             )
         else:
-            r = _run_diag(p, q, r, d_up, 1.0, cfg, "forward", track)
+            r = _run_diag(p, q, r, d_up, cfg, "forward", track)
     if np.any(d_down):
         if trace is not None:
             # After progress t of the backward phase the state solves the
@@ -403,7 +398,7 @@ def tune_gamma(
                 lambda t: gamma0 + d_up - t * d_down, new_hyper.gamma, theta0,
             )
         else:
-            r = _run_diag(p, q, r, d_down, 1.0, cfg, "backward", track)
+            r = _run_diag(p, q, r, d_down, cfg, "backward", track)
 
     new_state_ = RiccatiState(
         p=p, q=q, r=r if track else None, elapsed=state.elapsed

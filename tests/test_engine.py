@@ -22,8 +22,10 @@ from ricreg import (
     tune_gamma,
     tune_lambda,
 )
+from ricreg import _kernels
 from ricreg.problems import gen_sin10x, relative_l1, relative_l2
 from ricreg.bases import feature_matrix, get_basis
+from test_kernels import _rk4_diag_numpy
 
 
 def closed_form(hyper, blocks):
@@ -120,7 +122,80 @@ class TestRk4Step:
                 integrate_block(st, blk, 5.0, IntegrationConfig(step_h=0.05), "backward")
 
 
+class TestFailEarly:
+    """Backward runs that RK4 cannot follow are refused before any step."""
+
+    def test_coarse_weight_decrease_is_refused_with_a_step_that_passes(self):
+        # One block phi = e1 at n = 4: the weights of the three unconstrained
+        # coordinates fall 1 -> 1e-4, so P grows 10^4-fold along them over
+        # the run.  Integrated at h = 0.02, past the stability limit at its
+        # end, the run returns theta_2 = 0.020 against 0.5.
+        hyper = Hyperparams(gamma=np.ones(4), theta0=np.full(4, 0.5))
+        blocks = [DataBlock(phi=[[1.0, 0.0, 0.0, 0.0]], y=[1.0])]
+        st = fit(hyper, blocks, CFG)
+        new_gamma = np.full(4, 1e-4)
+        trace = ParetoTrace()
+        with pytest.raises(NumericsError, match="smaller step") as info:
+            tune_gamma(st, hyper, new_gamma, IntegrationConfig(step_h=0.02), trace)
+        assert len(trace) == 1  # only the starting point
+        step = float(str(info.value).rsplit("e.g. ", 1)[1])
+        st2, hyper2 = tune_gamma(st, hyper, new_gamma, IntegrationConfig(step_h=step))
+        oracle = solve_direct(hyper2, blocks)
+        assert relative_l1(extract_solution(st2, hyper2).theta_star, oracle.theta_star) < 1e-4
+
+    def test_stiff_removal_is_refused_with_a_step_that_passes(self):
+        # A block that was added (a T = 0.99 < 1) but is too stiff for h = 5.
+        hyper = Hyperparams(gamma=[1.0], theta0=[0.0])
+        blk = DataBlock(phi=[[1.0]], y=[1.0], lam=100.0)
+        st = fit(hyper, [blk], CFG)
+        with pytest.raises(NumericsError, match="smaller step") as info:
+            remove_block(st, blk, IntegrationConfig(step_h=5.0))
+        step = float(str(info.value).rsplit("e.g. ", 1)[1])
+        back = remove_block(st, blk, IntegrationConfig(step_h=step))
+        assert abs(back.p[0, 0] - 1.0) < 1e-4
+
+    def test_never_added_block_is_refused_before_integrating(self):
+        st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))
+        blk = DataBlock(phi=[[1.0, 0.0]], y=[1.0], lam=2.0)  # a T = 2
+        with pytest.raises(NumericsError, match="never added"):
+            remove_block(st, blk, IntegrationConfig(step_h=1e-6))
+
+    def test_failed_sweep_appends_no_non_finite_record(self):
+        rng = np.random.default_rng(38)
+        hyper, blocks = rand_problem(rng, n=4)
+        st = fit(hyper, blocks, CFG)
+        # Forward: RK4 overflows at h * a of about 1e5, the state is lost.
+        trace = ParetoTrace()
+        with pytest.raises(NumericsError, match="smaller step"):
+            tune_gamma(st, hyper, 1e6 * hyper.gamma, IntegrationConfig(step_h=0.5), trace)
+        # Backward: refused before any step.
+        with pytest.raises(NumericsError, match="smaller step"):
+            tune_gamma(st, hyper, 1e-6 * hyper.gamma, IntegrationConfig(step_h=0.5), trace)
+        assert len(trace) == 2  # the two starting points
+        assert all(np.all(np.isfinite(rec.theta)) for rec in trace)
+
+
 class TestIntegrateBlock:
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_one_kernel_call_matches_two(self, m):
+        # The final partial step runs in the same row-space call as the full
+        # steps; it matches running it as a second call from the first's end
+        # (m = 8 > n = 5 also covers the residual loss rate of the QR path).
+        rng = np.random.default_rng(60 + m)
+        hyper, blocks = rand_problem(rng, n=5, n_blocks=1, m=m)
+        blk = blocks[0]
+        st = add_block(new_state(hyper), blk, CFG)
+        for duration, direction, sign in ((0.7237, "forward", 1.0), (0.3141, "backward", -1.0)):
+            got = integrate_block(st, blk, duration, CFG, direction)
+            p, q = st.p.copy(), st.q.copy()
+            r = _kernels.rk4_dense(p, q, st.r, blk.phi, blk.y, sign * 1e-3,
+                                   int(duration / 1e-3), True, True)
+            last = duration - int(duration / 1e-3) * 1e-3
+            r = _kernels.rk4_dense(p, q, r, blk.phi, blk.y, sign * last, 1, True, True)
+            assert np.max(np.abs(got.p - p)) < 1e-13 * max(1.0, np.max(np.abs(p)))
+            assert np.max(np.abs(got.q - q)) < 1e-13 * max(1.0, np.max(np.abs(q)))
+            assert abs(got.r - r) < 1e-13 * max(1.0, abs(r))
+
     def test_zero_duration_returns_state(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
         st = new_state(hyper)
@@ -394,6 +469,68 @@ class TestTuneGamma:
         oracle = solve_direct(hyper.with_gamma(gamma_eff), blocks)
         assert relative_l1(rec.theta, oracle.theta_star) < 1e-9
         assert abs(rec.data_fit - oracle.data_fit) <= 1e-9 * max(1.0, oracle.data_fit)
+
+    @staticmethod
+    def _per_step_sweep(st, hyper, new_gamma, h):
+        """The traced sweep stepped one diagonal RK4 step at a time, with one
+        trace point evaluated from the state after every step."""
+        p, q, r = st.p.copy(), st.q.copy(), st.r
+        gamma0, theta0 = hyper.gamma, hyper.theta0
+        new_gamma = hyper.with_gamma(new_gamma).gamma
+        d_up = np.maximum(new_gamma - gamma0, 0.0)
+        d_down = np.maximum(gamma0 - new_gamma, 0.0)
+
+        def point(gamma_eff):
+            x = gamma_eff * theta0
+            theta = p @ x + q
+            s_value = 0.5 * float(x @ (p @ x)) + float(q @ x) + r
+            total = -s_value + 0.5 * float(theta0 @ x)
+            diff = theta - theta0
+            reg_weighted = 0.5 * float(gamma_eff @ (diff * diff))
+            return float(np.mean(gamma_eff)), theta, total - reg_weighted, 0.5 * float(diff @ diff)
+
+        records = [point(gamma0)]
+        up_end = gamma0 + d_up if np.any(d_down) else new_gamma
+        phases = (
+            (d_up, 1.0, lambda t: gamma0 + t * d_up, up_end),
+            (d_down, -1.0, lambda t: gamma0 + d_up - t * d_down, new_gamma),
+        )
+        nsteps = max(1, int(np.ceil(1.0 / h - 1e-9)))
+        last = 1.0 - (nsteps - 1) * h
+        for d, sign, gamma_at, gamma_end in phases:
+            if not np.any(d):
+                continue
+            t = 0.0
+            for _ in range(nsteps - 1):
+                r = _rk4_diag_numpy(p, q, r, d, sign * h, 1, True, True)
+                t += h
+                records.append(point(gamma_at(t)))
+            r = _rk4_diag_numpy(p, q, r, d, sign * last, 1, True, True)
+            records.append(point(gamma_end))
+        return records
+
+    # h = 1e-3 spans several evaluation chunks; h = 0.03 ends each phase
+    # with a partial step of 0.01.
+    @pytest.mark.parametrize("h", [1e-3, 0.03])
+    @pytest.mark.parametrize("kind", ["down", "up", "mixed"])
+    def test_trace_matches_per_step_sweep_record_by_record(self, kind, h):
+        rng = np.random.default_rng(39)
+        hyper, blocks = rand_problem(rng, n=6)
+        st = fit(hyper, blocks, CFG)
+        new_gamma = {
+            "down": 0.1 * hyper.gamma,
+            "up": 3.0 * hyper.gamma,
+            "mixed": np.where(np.arange(6) % 2 == 0, 3.0, 0.25),
+        }[kind]
+        trace = ParetoTrace()
+        tune_gamma(st, hyper, new_gamma, IntegrationConfig(step_h=h), trace)
+        reference = self._per_step_sweep(st, hyper, new_gamma, h)
+        assert len(trace) == len(reference)
+        for rec, (label, theta, data_fit, reg_norm) in zip(trace, reference):
+            assert rec.effective_hyperparam == label
+            assert np.max(np.abs(rec.theta - theta)) < 1e-12 * max(1.0, np.max(np.abs(theta)))
+            assert abs(rec.data_fit - data_fit) < 1e-12 * max(1.0, abs(data_fit))
+            assert abs(rec.reg_norm - reg_norm) < 1e-12 * max(1.0, abs(reg_norm))
 
     def test_chained_sweeps_join_with_identical_records(self):
         # The last point of one call and the first point of the next come

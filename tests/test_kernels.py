@@ -1,9 +1,9 @@
 """Cross-checks between the kernel implementations.
 
 Whatever implementation `rk4_dense`/`rk4_diag`/`integrate_ko` dispatch to
-(the row-space recurrence that runs every block, single- or multi-row; the
-JIT single-row, diagonal and trajectory loops; or the NumPy diagonal and
-trajectory loops) must agree with the plain NumPy per-step reference to
+(the row-space recurrence that runs every block, single- or multi-row, and
+every diagonal weight flow; the JIT single-row and trajectory loops; or the
+NumPy trajectory loop) must agree with the plain NumPy per-step reference to
 rounding error.
 """
 
@@ -11,6 +11,25 @@ import numpy as np
 import pytest
 
 from ricreg import _kernels
+
+
+def _rk4_diag_numpy(p, q, r, d, h, nsteps, symmetrize, track_loss):
+    def stage(pc, qc):
+        v = d[:, None] * pc
+        dr = -0.5 * float(d @ (qc * qc)) if track_loss else 0.0
+        return -(pc.T @ v), -(pc.T @ (d * qc)), dr
+
+    for _ in range(nsteps):
+        k1p, k1q, k1r = stage(p, q)
+        k2p, k2q, k2r = stage(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+        k3p, k3q, k3r = stage(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+        k4p, k4q, k4r = stage(p + h * k3p, q + h * k3q)
+        p += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        q += (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        r += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        if symmetrize:
+            p[:] = 0.5 * (p + p.T)
+    return r
 
 
 def _spd(rng, n):
@@ -181,6 +200,9 @@ class TestSingleRowKernel:
 
 
 class TestDiagKernel:
+    """The diagonal weight flow, run in the row space of diag(sqrt(d)),
+    against the per-step reference ``_rk4_diag_numpy``."""
+
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(3)
         n = 5
@@ -190,10 +212,99 @@ class TestDiagKernel:
         p_a, q_a = p0.copy(), q0.copy()
         r_a = _kernels.rk4_diag(p_a, q_a, 0.0, d, 1e-2, 100, True, True)
         p_b, q_b = p0.copy(), q0.copy()
-        r_b = _kernels._rk4_diag_numpy(p_b, q_b, 0.0, d, 1e-2, 100, True, True)
+        r_b = _rk4_diag_numpy(p_b, q_b, 0.0, d, 1e-2, 100, True, True)
         assert np.max(np.abs(p_a - p_b)) < 1e-13
         assert np.max(np.abs(q_a - q_b)) < 1e-13
         assert abs(r_a - r_b) < 1e-13
+
+    @staticmethod
+    def _case(n, seed=6, zeros=0, scale=1.0):
+        rng = np.random.default_rng(seed)
+        p0 = np.linalg.inv(_spd(rng, n) / n)
+        p0 = 0.5 * (p0 + p0.T)
+        d = rng.uniform(0.1, 1.0, size=n)
+        d[rng.permutation(n)[:zeros]] = 0.0
+        # Scale d so that the largest eigenvalue of diag(sqrt(d)) p0 diag(sqrt(d))
+        # is `scale`: a backward run of unit time then ends at a T = scale.
+        root = np.sqrt(d)
+        d *= scale / np.linalg.eigvalsh(root[:, None] * p0 * root).max()
+        return p0, rng.normal(size=n), d
+
+    @staticmethod
+    def _both(p0, q0, r0, d, h, nsteps, track_loss=True):
+        p_a, q_a = p0.copy(), q0.copy()
+        r_a = _kernels.rk4_diag(p_a, q_a, r0, d, h, nsteps, True, track_loss)
+        p_b, q_b = p0.copy(), q0.copy()
+        r_b = _rk4_diag_numpy(p_b, q_b, r0, d, h, nsteps, True, track_loss)
+        return (p_a, q_a, r_a), (p_b, q_b, r_b)
+
+    @pytest.mark.parametrize("h", [1e-2, -1e-2])
+    @pytest.mark.parametrize("n, zeros", [(6, 0), (6, 3), (100, 0), (100, 40)])
+    def test_forward_and_backward(self, n, zeros, h):
+        # Backward runs end at a T = 0.5, inside the blow-up time.
+        p0, q0, d = self._case(n, zeros=zeros, scale=0.5)
+        _assert_close(*self._both(p0, q0, 0.5, d, h, 100))
+
+    @pytest.mark.parametrize("n", [6, 100])
+    def test_backward_close_to_blow_up(self, n):
+        # a T = 0.9: the largest direction grows tenfold over the run.
+        p0, q0, d = self._case(n, scale=0.9)
+        _assert_close(*self._both(p0, q0, 0.5, d, -1e-2, 100))
+
+    @pytest.mark.parametrize("h", [1e-4, -1e-4])
+    def test_long_run(self, h):
+        p0, q0, d = self._case(6, zeros=1, scale=0.5)
+        _assert_close(*self._both(p0, q0, 0.5, d, h, 10_000))
+
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_untracked_loss_leaves_r_untouched(self, h):
+        p0, q0, d = self._case(6, zeros=2, scale=0.5)
+        got, ref = self._both(p0, q0, 0.75, d, h, 100, track_loss=False)
+        assert got[2] == 0.75
+        _assert_close(got, ref)
+
+    @pytest.mark.parametrize("zeros", [0, 2])
+    def test_keeps_p_exactly_symmetric(self, zeros):
+        p0, q0, d = self._case(6, zeros=zeros)
+        p = p0 + 1e-3 * np.triu(np.ones_like(p0), 1)  # start from an asymmetric p
+        _kernels.rk4_diag(p, q0.copy(), 0.0, d, 1e-2, 50, True, True)
+        assert np.array_equal(p, p.T)
+
+    def test_zero_weights_leave_state_put(self):
+        p0, q0, _ = self._case(6)
+        p, q = p0.copy(), q0.copy()
+        assert _kernels.rk4_diag(p, q, 0.5, np.zeros(6), 1e-2, 10, True, True) == 0.5
+        assert np.array_equal(p, p0) and np.array_equal(q, q0)
+
+    def test_rejects_negative_weights(self):
+        p0, q0, d = self._case(6)
+        d[0] = -0.1
+        with pytest.raises(ValueError, match="must be >= 0"):
+            _kernels.rk4_diag(p0.copy(), q0.copy(), 0.0, d, 1e-2, 10, True, True)
+
+    @pytest.mark.parametrize("h", [1e-2, -1e-2])
+    def test_final_step_of_its_own_size(self, h):
+        # nsteps - 1 steps of size h and one of size last, in one call.
+        p0, q0, d = self._case(6, zeros=1, scale=0.5)
+        p_a, q_a = p0.copy(), q0.copy()
+        r_a = _kernels.rk4_diag(p_a, q_a, 0.5, d, h, 40, True, True, 0.3 * h)
+        p_b, q_b = p0.copy(), q0.copy()
+        r_b = _rk4_diag_numpy(p_b, q_b, 0.5, d, h, 39, True, True)
+        r_b = _rk4_diag_numpy(p_b, q_b, r_b, d, 0.3 * h, 1, True, True)
+        _assert_close((p_a, q_a, r_a), (p_b, q_b, r_b))
+
+    @pytest.mark.parametrize("h", [1e-2, -1e-2])
+    def test_factors_give_every_intermediate_state(self, h):
+        p0, q0, d = self._case(6, zeros=2, scale=0.5)
+        factors = []
+        _kernels.rk4_diag(p0.copy(), q0.copy(), 0.5, d, h, 31, True, True, None, False, factors)
+        (w, bh, c), = factors
+        assert c.shape == (30, 4)
+        p_b, q_b, r_b = p0.copy(), q0.copy(), 0.5
+        for c_k in c:
+            r_b = _rk4_diag_numpy(p_b, q_b, r_b, d, h, 1, True, True)
+            got = (p0 - (w * c_k).dot(w.T), q0 - w.dot(bh * c_k), 0.5 - 0.5 * c_k.dot(bh * bh))
+            _assert_close(got, (p_b, q_b, r_b))
 
 
 class TestTrajectoryKernel:
