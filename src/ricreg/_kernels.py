@@ -1,18 +1,15 @@
-"""Inner integration loops.
+"""Inner integration loops: plain Python and NumPy, no JIT.
 
 Every data block, single- or multi-row, and every phase of the diagonal
 weight flow is integrated in its row space by ``_rk4_rowspace``: with
 U = P0 phi^T, every RK4 stage of every step keeps P = P0 - U C U^T, and in the
 eigenbasis of the m x m matrix phi U the recurrence for C splits into m scalar
 loops.  A run is one m x m eigh, m scalar loops and one rank-m update of
-(P, q), and agrees with the per-step references (``_rk4_dense_numpy`` here,
-the diagonal one in ``tests/test_kernels.py``) to rounding.  The diagonal flow
-with weights d >= 0 is the data flow of phi = diag(sqrt(d)), restricted to the
-rows with d > 0, and y = 0.  The per-step loops that remain (single-row blocks
-and the KO trajectory) are JIT-compiled when numba is available (set
-RICREG_DISABLE_NUMBA=1 to force the NumPy path); without numba single-row
-blocks take the row-space path and the trajectory a NumPy loop with the JIT
-arithmetic.
+(P, q), and agrees with the per-step references in ``tests/test_kernels.py``
+to rounding.  The diagonal flow with weights d >= 0 is the data flow of
+phi = diag(sqrt(d)), restricted to the rows with d > 0, and y = 0.  The only
+other loop is ``integrate_ko``, a scalar RK4 loop over the three floats of
+the KO trajectory.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -35,42 +32,14 @@ cannot follow raises ``NumericsError`` before any step is taken.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 
 import numpy as np
 
 from .model import NumericsError
 
-_USE_NUMBA = os.environ.get("RICREG_DISABLE_NUMBA", "") != "1"
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _USE_NUMBA = False
-
-
-# -- NumPy implementation ---------------------------------------------------
-
-
-def _rk4_dense_numpy(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
-    def stage(pc, qc):
-        w = phi @ pc
-        v = phi @ qc - y
-        dr = -0.5 * float(v @ v) if track_loss else 0.0
-        return -(w.T @ w), -(w.T @ v), dr
-
-    for _ in range(nsteps):
-        k1p, k1q, k1r = stage(p, q)
-        k2p, k2q, k2r = stage(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-        k3p, k3q, k3r = stage(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-        k4p, k4q, k4r = stage(p + h * k3p, q + h * k3q)
-        p += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        q += (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        r += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        if symmetrize:
-            p[:] = 0.5 * (p + p.T)
-    return r
+# There is no JIT backend; perfbench/run.py reports this in its provenance.
+_USE_NUMBA = False
 
 
 def _rk4_decay(a, h, nsteps, last, trail=None):
@@ -189,132 +158,11 @@ def _rk4_rowspace(
     return r
 
 
-def _ko_rhs_numpy(x):
-    return np.array([x[1] * x[2], x[0] * x[2], -2.0 * x[0] * x[1]])
-
-
-def _integrate_ko_numpy(x0, h, nsteps):
-    out = np.empty((nsteps + 1, 3))
-    out[0] = x0
-    x = np.array(x0, dtype=float)
-    for i in range(nsteps):
-        k1 = _ko_rhs_numpy(x)
-        k2 = _ko_rhs_numpy(x + 0.5 * h * k1)
-        k3 = _ko_rhs_numpy(x + 0.5 * h * k2)
-        k4 = _ko_rhs_numpy(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
-    return out
-
-
-# -- Numba implementation ----------------------------------------------------
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _rk4_rank1_numba(p, q, r, phi, y, h, nsteps, track_loss):
-        # Single-row blocks: every RK4 stage lives in span{u} with u = p^T phi,
-        # so the full step reduces to scalar stage recurrences plus one rank-1
-        # update.  Same arithmetic as the dense step, ~5x fewer operations.
-        n = phi.shape[0]
-        u = np.empty(n)
-        for _ in range(nsteps):
-            for i in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc += p[k, i] * phi[k]
-                u[i] = acc
-            a = 0.0
-            for i in range(n):
-                a += u[i] * phi[i]
-            m1 = 1.0
-            m2 = 1.0 - 0.5 * h * a * m1 * m1
-            m3 = 1.0 - 0.5 * h * a * m2 * m2
-            m4 = 1.0 - h * a * m3 * m3
-            v1 = -y
-            for i in range(n):
-                v1 += phi[i] * q[i]
-            v2 = v1 - 0.5 * h * a * m1 * v1
-            v3 = v1 - 0.5 * h * a * m2 * v2
-            v4 = v1 - h * a * m3 * v3
-            wp = (h / 6.0) * (m1 * m1 + 2.0 * m2 * m2 + 2.0 * m3 * m3 + m4 * m4)
-            wq = (h / 6.0) * (m1 * v1 + 2.0 * m2 * v2 + 2.0 * m3 * v3 + m4 * v4)
-            for i in range(n):
-                wu = wp * u[i]
-                p[i, i] -= wu * u[i]
-                for j in range(i + 1, n):
-                    delta = wu * u[j]
-                    p[i, j] -= delta
-                    p[j, i] -= delta
-                q[i] -= wq * u[i]
-            if track_loss:
-                r -= (h / 12.0) * (v1 * v1 + 2.0 * v2 * v2 + 2.0 * v3 * v3 + v4 * v4)
-        return r
-
-    @njit(cache=True)
-    def _integrate_ko_numba(x0, h, nsteps):
-        out = np.empty((nsteps + 1, 3))
-        x1, x2, x3 = x0[0], x0[1], x0[2]
-        out[0, 0] = x1
-        out[0, 1] = x2
-        out[0, 2] = x3
-        for i in range(nsteps):
-            a1 = x2 * x3
-            a2 = x1 * x3
-            a3 = -2.0 * x1 * x2
-            u1 = x1 + 0.5 * h * a1
-            u2 = x2 + 0.5 * h * a2
-            u3 = x3 + 0.5 * h * a3
-            b1 = u2 * u3
-            b2 = u1 * u3
-            b3 = -2.0 * u1 * u2
-            u1 = x1 + 0.5 * h * b1
-            u2 = x2 + 0.5 * h * b2
-            u3 = x3 + 0.5 * h * b3
-            c1 = u2 * u3
-            c2 = u1 * u3
-            c3 = -2.0 * u1 * u2
-            u1 = x1 + h * c1
-            u2 = x2 + h * c2
-            u3 = x3 + h * c3
-            d1 = u2 * u3
-            d2 = u1 * u3
-            d3 = -2.0 * u1 * u2
-            x1 += (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            x2 += (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            x3 += (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            out[i + 1, 0] = x1
-            out[i + 1, 1] = x2
-            out[i + 1, 2] = x3
-        return out
-
-
-# The wrappers hand the JIT fresh writable C-contiguous copies of the
-# constant inputs: callers routinely pass read-only views (value objects lock
-# their arrays), and numba treats readonly/writable layouts as distinct
-# signatures, which would silently double every compilation.  The copies are
-# one-per-call (not per-step) and tiny next to the integration itself.
-
-
-def _writable(arr):
-    return np.array(arr, dtype=float, order="C", copy=True)
-
-
 def rk4_dense(
     p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last=None, fail_early=False
 ):
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
-    if _USE_NUMBA and phi.shape[0] == 1:
-        row = _writable(phi[0])
-        if fail_early and h < 0.0:
-            _check_backward([row.dot(p.dot(row))], h, nsteps, last)
-        # The rank-1 step applies exactly symmetric updates, so one up-front
-        # symmetrization makes the per-step (p + p^T)/2 a no-op.
-        if symmetrize:
-            p[:] = 0.5 * (p + p.T)
-        r = _rk4_rank1_numba(p, q, r, row, float(y[0]), h, nsteps - 1, track_loss)
-        return _rk4_rank1_numba(p, q, r, row, float(y[0]), last, 1, track_loss)
     return _rk4_rowspace(p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early)
 
 
@@ -333,16 +181,45 @@ def rk4_diag(
 
 
 def integrate_ko(x0, h, nsteps):
-    x0 = _writable(x0)
-    if _USE_NUMBA:
-        return _integrate_ko_numba(x0, float(h), int(nsteps))
-    return _integrate_ko_numpy(x0, float(h), int(nsteps))
+    """RK4 trajectory of x1' = x2 x3, x2' = x1 x3, x3' = -2 x1 x2 from ``x0``.
 
-
-def warm_up():
-    """Trigger JIT compilation on tiny inputs so later calls run at full speed.
-
-    Exercises the single-row step of ``rk4_dense`` and the trajectory kernel.
+    Returns a fresh (nsteps + 1, 3) array whose row k is the state after k
+    steps of size ``h``.  The state lives in three Python floats and each step
+    is written straight into the preallocated result, so no per-step array is
+    made, nor a list that holds every value as a Python float until the end.
+    Every coordinate goes through the same operations, in the same order, as
+    in the array form of the RK4 step, so the result equals it bit for bit.
     """
-    rk4_dense(np.eye(2), np.zeros(2), 0.0, np.ones((1, 2)), np.ones(1), 1e-3, 1, True, True)
-    integrate_ko(np.array([1.0, 0.8, 0.5]), 1e-3, 1)
+    h, nsteps = float(h), int(nsteps)
+    x1, x2, x3 = np.asarray(x0, dtype=float).tolist()
+    out = np.empty((nsteps + 1, 3))
+    flat = memoryview(out.reshape(-1))
+    flat[0], flat[1], flat[2] = x1, x2, x3
+    half, sixth = 0.5 * h, h / 6.0
+    for j in range(3, 3 * nsteps + 3, 3):
+        a1 = x2 * x3
+        a2 = x1 * x3
+        a3 = -2.0 * x1 * x2
+        u1 = x1 + half * a1
+        u2 = x2 + half * a2
+        u3 = x3 + half * a3
+        b1 = u2 * u3
+        b2 = u1 * u3
+        b3 = -2.0 * u1 * u2
+        u1 = x1 + half * b1
+        u2 = x2 + half * b2
+        u3 = x3 + half * b3
+        c1 = u2 * u3
+        c2 = u1 * u3
+        c3 = -2.0 * u1 * u2
+        u1 = x1 + h * c1
+        u2 = x2 + h * c2
+        u3 = x3 + h * c3
+        d1 = u2 * u3
+        d2 = u1 * u3
+        d3 = -2.0 * u1 * u2
+        x1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        x3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        flat[j], flat[j + 1], flat[j + 2] = x1, x2, x3
+    return out

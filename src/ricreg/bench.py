@@ -53,7 +53,7 @@ def _random_blocks(count: int, n: int, m: int, rng: Xoshiro256pp) -> list[DataBl
 
 def _time_update(update, min_repetitions: int) -> float:
     """Median batch-average wall time; batches sized so one batch >= ~2 ms."""
-    update()  # warm-up (JIT, caches)
+    update()  # warm-up (caches)
     t0 = time.perf_counter()
     update()
     once = max(time.perf_counter() - t0, 1e-9)

@@ -104,7 +104,8 @@ def prox_dual(spec: ProxSpec, v, sigma_w: float) -> np.ndarray:
     if v.shape != (spec.n,):
         raise ValueError(f"v has shape {v.shape}, expected ({spec.n},)")
     if spec.kind == "weighted_l1":
-        return np.clip(v, -spec.weights, spec.weights)
+        # Same values as np.clip, NaN and -0.0 included, at less dispatch.
+        return np.minimum(np.maximum(v, -spec.weights), spec.weights)
     return v * spec.weights / (spec.weights + float(sigma_w))
 
 
@@ -169,6 +170,7 @@ def pdhg_solve(
         raise ValueError("inner_state dimension mismatch")
     p, q = inner_state.p, inner_state.q
 
+    sigma_theta, sigma_w, tol = cfg.sigma_theta, cfg.sigma_w, cfg.tol
     theta = np.zeros(n)
     w = np.zeros(n)
     theta_bar = theta
@@ -177,18 +179,18 @@ def pdhg_solve(
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        bias = theta - cfg.sigma_theta * (w - x)
+        bias = theta - sigma_theta * (w - x)
         # Minimizer of the ridge subproblem: P (Gamma bias) + q with
         # Gamma = I / sigma_theta; only the evaluation point moves.
-        theta_new = p @ (bias / cfg.sigma_theta) + q
+        theta_new = p.dot(bias / sigma_theta) + q
         theta_bar = 2.0 * theta_new - theta
-        w = prox_dual(spec, w + cfg.sigma_w * theta_bar, cfg.sigma_w)
-        residual = float(np.max(np.abs(theta_new - theta))) if n else 0.0
+        w = prox_dual(spec, w + sigma_w * theta_bar, sigma_w)
+        residual = float(np.abs(theta_new - theta).max()) if n else 0.0
         theta = theta_new
         residuals.append(residual)
         if residual < best_residual:
             best_theta, best_residual = theta, residual
-        if residual <= cfg.tol:
+        if residual <= tol:
             converged = True
             break
 

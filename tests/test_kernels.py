@@ -1,16 +1,37 @@
-"""Cross-checks between the kernel implementations.
+"""The kernels against plain NumPy per-step references.
 
-Whatever implementation `rk4_dense`/`rk4_diag`/`integrate_ko` dispatch to
-(the row-space recurrence that runs every block, single- or multi-row, and
-every diagonal weight flow; the JIT single-row and trajectory loops; or the
-NumPy trajectory loop) must agree with the plain NumPy per-step reference to
-rounding error.
+There is one implementation per kernel and no JIT.  `rk4_dense` and
+`rk4_diag` run every block, single- or multi-row, and every diagonal weight
+flow as the row-space recurrence, which must agree with the per-step RK4
+references below to rounding error.  `integrate_ko` is a scalar loop over
+three floats with the same arithmetic as the array reference
+`_integrate_ko_numpy`, and must match it bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from ricreg import _kernels
+
+
+def _rk4_dense_numpy(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
+    def stage(pc, qc):
+        w = phi @ pc
+        v = phi @ qc - y
+        dr = -0.5 * float(v @ v) if track_loss else 0.0
+        return -(w.T @ w), -(w.T @ v), dr
+
+    for _ in range(nsteps):
+        k1p, k1q, k1r = stage(p, q)
+        k2p, k2q, k2r = stage(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+        k3p, k3q, k3r = stage(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+        k4p, k4q, k4r = stage(p + h * k3p, q + h * k3q)
+        p += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        q += (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        r += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        if symmetrize:
+            p[:] = 0.5 * (p + p.T)
+    return r
 
 
 def _rk4_diag_numpy(p, q, r, d, h, nsteps, symmetrize, track_loss):
@@ -32,6 +53,24 @@ def _rk4_diag_numpy(p, q, r, d, h, nsteps, symmetrize, track_loss):
     return r
 
 
+def _ko_rhs_numpy(x):
+    return np.array([x[1] * x[2], x[0] * x[2], -2.0 * x[0] * x[1]])
+
+
+def _integrate_ko_numpy(x0, h, nsteps):
+    out = np.empty((nsteps + 1, 3))
+    out[0] = x0
+    x = np.array(x0, dtype=float)
+    for i in range(nsteps):
+        k1 = _ko_rhs_numpy(x)
+        k2 = _ko_rhs_numpy(x + 0.5 * h * k1)
+        k3 = _ko_rhs_numpy(x + 0.5 * h * k2)
+        k4 = _ko_rhs_numpy(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = x
+    return out
+
+
 def _spd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T + n * np.eye(n)
@@ -49,7 +88,7 @@ def _both(p0, q0, r0, phi, y, h, nsteps, track_loss=True):
     p_a, q_a = p0.copy(), q0.copy()
     r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, True, track_loss)
     p_b, q_b = p0.copy(), q0.copy()
-    r_b = _kernels._rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
+    r_b = _rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
     return (p_a, q_a, r_a), (p_b, q_b, r_b)
 
 
@@ -65,7 +104,7 @@ class TestDenseKernel:
             p_a, q_a = p0.copy(), q0.copy()
             r_a = _kernels.rk4_dense(p_a, q_a, 0.0, phi, y, 1e-2, 100, True, True)
             p_b, q_b = p0.copy(), q0.copy()
-            r_b = _kernels._rk4_dense_numpy(p_b, q_b, 0.0, phi, y, 1e-2, 100, True, True)
+            r_b = _rk4_dense_numpy(p_b, q_b, 0.0, phi, y, 1e-2, 100, True, True)
             assert np.max(np.abs(p_a - p_b)) < 1e-13
             assert np.max(np.abs(q_a - q_b)) < 1e-13
             assert abs(r_a - r_b) < 1e-13
@@ -152,7 +191,7 @@ class TestDenseKernel:
         _assert_close(*added)
         (p_a, q_a, r_a), (p_b, q_b, r_b) = added
         r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50, True, True)
-        r_b = _kernels._rk4_dense_numpy(p_b, q_b, r_b, phi, y, -1e-3, 50, True, True)
+        r_b = _rk4_dense_numpy(p_b, q_b, r_b, phi, y, -1e-3, 50, True, True)
         got, ref = (p_a, q_a, r_a), (p_b, q_b, r_b)
         _assert_close(got, ref)
         assert np.max(np.abs(got[0] - p0)) < 1e-7
@@ -308,8 +347,36 @@ class TestDiagKernel:
 
 
 class TestTrajectoryKernel:
+    X0 = np.array([1.0, 0.8, 0.5])
+
     def test_matches_numpy_reference(self):
-        x0 = np.array([1.0, 0.8, 0.5])
-        a = _kernels.integrate_ko(x0, 1e-3, 500)
-        b = _kernels._integrate_ko_numpy(x0, 1e-3, 500)
+        a = _kernels.integrate_ko(self.X0, 1e-3, 500)
+        b = _integrate_ko_numpy(self.X0, 1e-3, 500)
         assert np.max(np.abs(a - b)) < 1e-13
+
+    @pytest.mark.parametrize("nsteps", [0, 1, 300, 500, 10_000])
+    @pytest.mark.parametrize("h", [1e-4, 1e-3, -1e-3, 1e-2, 0.05])
+    def test_bit_identical_to_numpy_reference(self, h, nsteps):
+        ref = _integrate_ko_numpy(self.X0, h, nsteps)
+        assert np.isfinite(ref).all()
+        assert np.array_equal(_kernels.integrate_ko(self.X0, h, nsteps), ref)
+
+    @pytest.mark.parametrize("kind", ["list", "tuple", "readonly"])
+    def test_accepts_any_three_vector(self, kind):
+        x0 = self.X0.copy()
+        if kind == "readonly":
+            x0.flags.writeable = False
+        else:
+            x0 = {"list": list, "tuple": tuple}[kind](x0.tolist())
+        got = _kernels.integrate_ko(x0, 1e-3, 300)
+        assert np.array_equal(got, _integrate_ko_numpy(self.X0, 1e-3, 300))
+
+    def test_result_is_a_fresh_writable_array(self):
+        x0 = self.X0.copy()
+        x0.flags.writeable = False
+        got = _kernels.integrate_ko(x0, 1e-3, 7)
+        assert got.shape == (8, 3) and got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(got, x0)
+        got[0, 0] = 2.0
+        assert x0[0] == 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -37,6 +39,39 @@ def rand_lasso(rng):
     return n, blocks, ProxSpec(kind="weighted_l1", weights=weights)
 
 
+def _reference_iterations(n, spec, cfg, p, q):
+    # The iteration as first written (array operators, np.clip, attribute
+    # look-ups in the loop); pdhg_solve must reproduce it bit for bit.
+    def prox(v):
+        if spec.kind == "weighted_l1":
+            return np.clip(v, -spec.weights, spec.weights)
+        return v * spec.weights / (spec.weights + float(cfg.sigma_w))
+
+    x = cfg.x_point if cfg.x_point is not None else np.zeros(n)
+    theta = np.zeros(n)
+    w = np.zeros(n)
+    best_theta, best_residual = theta, math.inf
+    residuals = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        bias = theta - cfg.sigma_theta * (w - x)
+        theta_new = p @ (bias / cfg.sigma_theta) + q
+        theta_bar = 2.0 * theta_new - theta
+        w = prox(w + cfg.sigma_w * theta_bar)
+        residual = float(np.max(np.abs(theta_new - theta))) if n else 0.0
+        theta = theta_new
+        residuals.append(residual)
+        if residual < best_residual:
+            best_theta, best_residual = theta, residual
+        if residual <= cfg.tol:
+            converged = True
+            break
+    if not converged:
+        theta = best_theta
+    return theta, w, iterations, np.asarray(residuals)
+
+
 class TestProxDual:
     def test_box_clamp(self):
         spec = ProxSpec(kind="weighted_l1", weights=[0.1, 0.1, 0.1])
@@ -47,6 +82,14 @@ class TestProxDual:
         spec = ProxSpec(kind="weighted_l1", weights=[0.3, 0.2])
         v = np.array([0.25, -0.15])
         np.testing.assert_array_equal(prox_dual(spec, v, 2.0), v)
+
+    def test_box_clamp_equals_clip_on_nan_and_signed_zero(self):
+        spec = ProxSpec(kind="weighted_l1", weights=[0.1, 0.2, 0.3, 0.4, 0.5])
+        v = np.array([np.nan, -0.0, 0.0, -np.inf, 0.4])
+        out = prox_dual(spec, v, 0.5)
+        ref = np.clip(v, -spec.weights, spec.weights)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
     def test_quadratic_prox_closed_form(self):
         spec = ProxSpec(kind="weighted_l2_squared", weights=[2.0, 0.5])
@@ -159,6 +202,38 @@ class TestPdhgSolve:
         np.testing.assert_array_equal(
             first.solution.theta_star, again.solution.theta_star
         )
+
+
+class TestPdhgMatchesReferenceIterations:
+    @staticmethod
+    def _check(n, blocks, spec, cfg, riccati_cfg):
+        res = pdhg_solve(n, blocks, spec, cfg, riccati_cfg)
+        p, q = res.inner_state.p, res.inner_state.q
+        theta, w, iterations, history = _reference_iterations(n, spec, cfg, p, q)
+        assert res.iterations == iterations
+        assert np.array_equal(res.solution.theta_star, theta)
+        assert np.array_equal(res.state.w, w)
+        assert np.array_equal(res.residual_history, history)
+
+    def test_ko_equation(self):
+        from ricreg.problems import gen_ko
+
+        ko = gen_ko(grid_count=300, solver_h=1e-3, fd_h=1e-2)
+        spec = ProxSpec(kind="weighted_l1", weights=np.full(10, 0.1))
+        self._check(10, ko.equations[2], spec, PdhgConfig(), IntegrationConfig(step_h=1e-2))
+
+    def test_weighted_l2_squared(self):
+        rng = np.random.default_rng(6)
+        n = 5
+        blocks = [DataBlock(phi=rng.normal(size=(2, n)), y=rng.normal(size=2)) for _ in range(4)]
+        spec = ProxSpec(kind="weighted_l2_squared", weights=rng.uniform(0.5, 2.0, size=n))
+        cfg = PdhgConfig(x_point=rng.normal(size=n), tol=1e-12)
+        self._check(n, blocks, spec, cfg, CFG)
+
+    def test_nonconvergence_returns_reference_best_iterate(self):
+        rng = np.random.default_rng(7)
+        n, blocks, spec = rand_lasso(rng)
+        self._check(n, blocks, spec, PdhgConfig(max_iters=25), CFG)
 
 
 class TestPdhgOptimality:

@@ -140,6 +140,24 @@ class TestGenKo:
         err_h2 = np.abs(gen_ko(grid_count=2, solver_h=5e-4, fd_h=2e-3).states[-1] - fine).max()
         assert err_h / err_h2 >= 8.0
 
+    def test_trajectory_comes_from_the_kernel_module(self, monkeypatch):
+        from ricreg import _kernels
+
+        calls = []
+        real = _kernels.integrate_ko
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "integrate_ko", spy)
+        ko = gen_ko(grid_count=10, solver_h=1e-3, fd_h=1e-2)
+        assert len(calls) == 1
+        (args, kwargs), = calls
+        assert len(args) == 3 and not kwargs
+        assert np.array_equal(args[0], KO_INITIAL) and args[1:] == (1e-3, 10_000)
+        assert np.array_equal(ko.states, real(KO_INITIAL, 1e-3, 10_000))
+
     def test_stencil_must_fit(self):
         with pytest.raises(ValueError, match="multiple"):
             gen_ko(grid_count=10, solver_h=1e-3, fd_h=2.5e-4)
