@@ -144,5 +144,13 @@ def residual_row(basis: BasisSet, x: float, d_coeff: float, kappa: float) -> np.
 
 
 def feature_matrix(basis: BasisSet, xs) -> np.ndarray:
-    """Stack feature rows for a 1-D grid of points."""
-    return np.stack([feature_row(basis, float(x)) for x in np.asarray(xs)])
+    """Stack feature rows for a 1-D grid of points.
+
+    Each row is ``basis.eval`` of one point, bit-identical to ``feature_row``.
+    """
+    if basis.arity != 1:
+        raise ValueError(f"basis {basis.name} takes a length-{basis.arity} input")
+    rows = [basis.eval(x) for x in np.asarray(xs).tolist()]
+    if not rows:
+        raise ValueError("feature_matrix needs at least one point")
+    return np.array(rows)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -119,7 +120,42 @@ def _exact_state(hyper: Hyperparams, blocks) -> RiccatiState:
 # -- gen ----------------------------------------------------------------------
 
 
-def _write_manifest(out, payload: dict, grid, truth_columns: dict) -> tuple[str, str]:
+# Per problem: the generator call, the flags the manifest records (in this
+# order), the block streams as {path: blocks} and the truth columns on the
+# evaluation grid.  The lambdas look the generators up at call time.
+_GEN_PROBLEMS = {
+    "sin10x": (
+        lambda a: problems.gen_sin10x(a.count, a.seed, a.noise),
+        ("seed", "count", "noise"),
+        lambda prob, out: {out: prob.blocks},
+        lambda prob, grid: {"y": prob.truth["y"](grid)},
+    ),
+    "reaction-diffusion": (
+        lambda a: problems.gen_reaction_diffusion(a.count, a.seed, a.noise, a.lambda_b),
+        ("seed", "count", "noise", "lambda_b"),
+        lambda prob, out: {out: prob.blocks},
+        lambda prob, grid: {"u": prob.truth["u"](grid), "f": prob.truth["f"](grid)},
+    ),
+    "ko": (
+        lambda a: problems.gen_ko(a.grid_count, a.solver_h, a.fd_h),
+        ("grid_count", "solver_h", "fd_h"),
+        lambda prob, out: {f"{out}.eq{i}.jsonl": eq for i, eq in enumerate(prob.equations, 1)},
+        lambda prob, grid: {f"x{i + 1}": col for i, col in enumerate(prob.trajectory_on(grid).T)},
+    ),
+}
+
+
+def cmd_gen(args) -> int:
+    generate, fields, streams_of, truth_of = _GEN_PROBLEMS[args.problem]
+    prob = generate(args)
+    out = str(args.out)
+    streams = streams_of(prob, out)
+    for path, blocks in streams.items():
+        write_blocks(blocks, path)
+    paths = list(streams)
+    blocks_field = paths if len(paths) > 1 else paths[0]
+    grid = prob.eval_grid
+    truth_columns = truth_of(prob, grid)
     truth_path = f"{out}.truth.csv"
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -127,88 +163,16 @@ def _write_manifest(out, payload: dict, grid, truth_columns: dict) -> tuple[str,
         for i, x in enumerate(grid):
             writer.writerow([repr(float(x))] + [repr(float(col[i])) for col in truth_columns.values()])
     manifest_path = f"{out}.manifest.json"
+    manifest = {"problem": args.problem, **{k: getattr(args, k) for k in fields},
+                "basis": prob.basis_name, "blocks": blocks_field, "truth_csv": truth_path}
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({**payload, "truth_csv": truth_path}, fh, indent=2)
-        fh.write("\n")
-    return manifest_path, truth_path
-
-
-def cmd_gen(args) -> int:
-    out = args.out
-    if args.problem == "sin10x":
-        prob = problems.gen_sin10x(args.count, args.seed, args.noise)
-        write_blocks(prob.blocks, out)
-        grid = prob.eval_grid
-        manifest, truth = _write_manifest(
-            out,
-            {
-                "problem": "sin10x",
-                "seed": args.seed,
-                "count": args.count,
-                "noise": args.noise,
-                "basis": prob.basis_name,
-                "blocks": str(out),
-            },
-            grid,
-            {"y": prob.truth["y"](grid)},
-        )
-        _emit(
-            {"blocks": str(out), "manifest": manifest, "truth_csv": truth,
-             "count": len(prob.blocks), "basis": prob.basis_name, "seed": args.seed},
-            args.pretty,
-        )
-    elif args.problem == "reaction-diffusion":
-        prob = problems.gen_reaction_diffusion(
-            args.count, args.seed, args.noise, args.lambda_b
-        )
-        write_blocks(prob.blocks, out)
-        grid = prob.eval_grid
-        manifest, truth = _write_manifest(
-            out,
-            {
-                "problem": "reaction-diffusion",
-                "seed": args.seed,
-                "count": args.count,
-                "noise": args.noise,
-                "lambda_b": args.lambda_b,
-                "basis": prob.basis_name,
-                "blocks": str(out),
-            },
-            grid,
-            {"u": prob.truth["u"](grid), "f": prob.truth["f"](grid)},
-        )
-        _emit(
-            {"blocks": str(out), "manifest": manifest, "truth_csv": truth,
-             "count": len(prob.blocks), "basis": prob.basis_name, "seed": args.seed},
-            args.pretty,
-        )
-    else:  # ko
-        prob = problems.gen_ko(args.grid_count, args.solver_h, args.fd_h)
-        paths = []
-        for i, eq_blocks in enumerate(prob.equations, start=1):
-            path = f"{out}.eq{i}.jsonl"
-            write_blocks(eq_blocks, path)
-            paths.append(path)
-        grid = prob.eval_grid
-        truth_states = prob.trajectory_on(grid)
-        manifest, truth = _write_manifest(
-            out,
-            {
-                "problem": "ko",
-                "grid_count": args.grid_count,
-                "solver_h": args.solver_h,
-                "fd_h": args.fd_h,
-                "basis": prob.basis_name,
-                "blocks": paths,
-            },
-            grid,
-            {f"x{i + 1}": truth_states[:, i] for i in range(3)},
-        )
-        _emit(
-            {"blocks": paths, "manifest": manifest, "truth_csv": truth,
-             "count": len(prob.equations[0]), "basis": prob.basis_name},
-            args.pretty,
-        )
+        fh.write(json.dumps(manifest, indent=2) + "\n")
+    _emit(
+        {"blocks": blocks_field, "manifest": manifest_path, "truth_csv": truth_path,
+         "count": len(streams[paths[0]]), "basis": prob.basis_name,
+         **({"seed": args.seed} if "seed" in fields else {})},
+        args.pretty,
+    )
     return EXIT_OK
 
 
@@ -469,7 +433,10 @@ def cmd_bench(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``ricreg`` parser, built on first use and then reused: ``parse_args``
+    returns a fresh namespace and leaves the parser unchanged."""
     parser = _Parser(prog="ricreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -122,7 +122,7 @@ def _sign_of(direction: str) -> float:
 
 
 def _check_finite(p, q, r, direction: str) -> None:
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q)) and math.isfinite(r)):
+    if not (np.isfinite(p).all() and np.isfinite(q).all() and math.isfinite(r)):
         hint = (
             "backward integration blew up; use a smaller step size"
             if direction == "backward"

@@ -8,6 +8,7 @@ threads.  Solver operations never mutate a state; they return new ones.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,9 +66,9 @@ class DataBlock:
                 f"y length {y.shape[0]} does not match phi row count {phi.shape[0]}"
             )
         lam = float(self.lam)
-        if not np.isfinite(lam) or lam < 0.0:
+        if not math.isfinite(lam) or lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(y)):
+        if not np.isfinite(phi).all() or not np.isfinite(y).all():
             raise ValueError("phi and y must be finite")
         _set(self, "phi", phi)
         _set(self, "y", y)
@@ -111,9 +112,9 @@ class Hyperparams:
             raise ValueError(
                 f"gamma length {gamma.shape[0]} != theta0 length {theta0.shape[0]}"
             )
-        if not np.all(np.isfinite(gamma)) or not np.all(np.isfinite(theta0)):
+        if not np.isfinite(gamma).all() or not np.isfinite(theta0).all():
             raise ValueError("gamma and theta0 must be finite")
-        if np.any(gamma <= 0.0):
+        if (gamma <= 0.0).any():
             raise ValueError("every gamma entry must be > 0")
         _set(self, "gamma", gamma)
         _set(self, "theta0", theta0)
@@ -154,15 +155,15 @@ class RiccatiState:
             raise ValueError(f"p must be square, got shape {p.shape}")
         if q.ndim != 1 or q.shape[0] != p.shape[0]:
             raise ValueError(f"q length {q.shape} does not match p {p.shape}")
-        if not np.all(np.isfinite(p)) or not np.all(np.isfinite(q)):
+        if not np.isfinite(p).all() or not np.isfinite(q).all():
             raise NumericsError("non-finite entries in state")
         r = self.r
         if r is not None:
             r = float(r)
-            if not np.isfinite(r):
+            if not math.isfinite(r):
                 raise NumericsError("non-finite loss accumulator")
         elapsed = float(self.elapsed)
-        if not np.isfinite(elapsed) or elapsed < 0.0:
+        if not math.isfinite(elapsed) or elapsed < 0.0:
             raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
         _set(self, "p", p)
         _set(self, "q", q)
@@ -211,7 +212,7 @@ class ModelSolution:
         theta = _frozen_array(self.theta_star)
         if theta.ndim != 1:
             raise ValueError("theta_star must be 1-D")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise NumericsError("non-finite minimizer")
         _set(self, "theta_star", theta)
         for name in ("data_fit", "reg_value", "total_loss"):
@@ -328,8 +329,9 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
 
 def write_checkpoint(ck: Checkpoint, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_to_dict(ck), fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump to a file streams through
+        # the pure-Python one.  The bytes are the same.
+        fh.write(json.dumps(checkpoint_to_dict(ck)) + "\n")
 
 
 def read_checkpoint(path) -> Checkpoint:
@@ -352,8 +354,7 @@ def block_from_dict(doc: dict) -> DataBlock:
 def write_blocks(blocks, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for block in blocks:
-            json.dump(block_to_dict(block), fh)
-            fh.write("\n")
+            fh.write(json.dumps(block_to_dict(block)) + "\n")
 
 
 def read_blocks(path) -> list[DataBlock]:

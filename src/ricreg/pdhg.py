@@ -56,7 +56,7 @@ class ProxSpec:
         if self.kind not in _PROX_KINDS:
             raise ValueError(f"kind must be one of {_PROX_KINDS}, got {self.kind!r}")
         weights = np.array(self.weights, dtype=float, copy=True)
-        if weights.ndim != 1 or not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        if weights.ndim != 1 or not np.isfinite(weights).all() or (weights <= 0).any():
             raise ValueError("weights must be a 1-D vector of positive reals")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
@@ -86,7 +86,7 @@ class PdhgConfig:
             raise ValueError("tol must be positive")
         if self.x_point is not None:
             x = np.array(self.x_point, dtype=float, copy=True)
-            if x.ndim != 1 or not np.all(np.isfinite(x)):
+            if x.ndim != 1 or not np.isfinite(x).all():
                 raise ValueError("x_point must be a finite 1-D vector")
             x.flags.writeable = False
             object.__setattr__(self, "x_point", x)

@@ -37,7 +37,7 @@ class RlsState:
         q = np.array(self.q, dtype=float, copy=True)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or q.shape != (p.shape[0],):
             raise ValueError(f"inconsistent shapes p {p.shape}, q {q.shape}")
-        if not np.all(np.isfinite(p)) or not np.all(np.isfinite(q)):
+        if not np.isfinite(p).all() or not np.isfinite(q).all():
             raise NumericsError("non-finite entries in state")
         p.flags.writeable = False
         q.flags.writeable = False
@@ -77,7 +77,7 @@ def _woodbury(state: RlsState, block: DataBlock, signed_lam: float, context: str
         + signed_lam * (p_new @ (phi.T @ block.y))
         - signed_lam * (u @ cho_solve(factor, phi @ state.q))
     )
-    if not np.all(np.isfinite(p_new)) or not np.all(np.isfinite(q_new)):
+    if not np.isfinite(p_new).all() or not np.isfinite(q_new).all():
         raise NumericsError(context)
     return RlsState(p=p_new, q=q_new)
 

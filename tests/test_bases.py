@@ -111,3 +111,24 @@ class TestFeatureMatrix:
         mat = feature_matrix(basis, xs)
         assert mat.shape == (3, 10)
         np.testing.assert_array_equal(mat[0], feature_row(basis, 0.0))
+
+    @pytest.mark.parametrize("name", ["poly-trig-10", "fourier-21"])
+    def test_bit_identical_to_stacked_rows(self, name):
+        basis = get_basis(name)
+        grids = [np.linspace(0.0, 10.0, 1001), np.linspace(0.0, 1.0, 1001),
+                 [0.0, -0.5, 1e-300, 3, 7.25]]
+        for xs in grids:
+            reference = np.stack([feature_row(basis, float(x)) for x in np.asarray(xs)])
+            mat = feature_matrix(basis, xs)
+            assert mat.dtype == reference.dtype
+            assert np.array_equal(mat, reference)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            feature_matrix(get_basis("poly-trig-10"), np.linspace(0.0, 1.0, 0))
+        with pytest.raises(ValueError):
+            feature_matrix(get_basis("fourier-21"), [])
+
+    def test_vector_basis_rejected(self):
+        with pytest.raises(ValueError, match="length-3"):
+            feature_matrix(get_basis("quad-monomial-3d"), [0.0, 1.0, 2.0])

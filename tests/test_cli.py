@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ricreg import DataBlock, read_checkpoint, solve_direct, write_blocks
+from ricreg import DataBlock, cli, read_checkpoint, solve_direct, write_blocks
 from ricreg.cli import main
 from ricreg.model import Hyperparams, read_blocks
 from ricreg.problems import relative_l1
@@ -38,15 +41,56 @@ class TestGen:
         assert truth_lines[0] == "x,y"
         assert len(truth_lines) == 1 + 1001
 
-    def test_same_seed_gives_identical_bytes(self, tmp_path, capsys):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for out in (a, b):
-            code, _ = run(
-                capsys, "gen", "sin10x", "--count", "50", "--seed", "7",
-                "--out", str(out),
-            )
-            assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+    GEN_ARGS = {
+        "sin10x": ["--count", "50", "--seed", "7"],
+        "reaction-diffusion": ["--count", "6", "--seed", "3", "--lambda-b", "2.5"],
+        "ko": ["--grid-count", "12", "--solver-h", "1e-3", "--fd-h", "1e-2"],
+    }
+
+    def test_same_seed_gives_identical_bytes(self, tmp_path, capsys, monkeypatch):
+        # Relative --out paths, so that stdout and the manifests compare as bytes.
+        for problem, flags in self.GEN_ARGS.items():
+            outputs = []
+            for sub in ("a", "b"):
+                workdir = tmp_path / problem / sub
+                workdir.mkdir(parents=True)
+                monkeypatch.chdir(workdir)
+                assert main(["gen", problem, *flags, "--out", "d"]) == 0
+                files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+                outputs.append((capsys.readouterr().out, files))
+            assert outputs[0] == outputs[1]
+            assert len(outputs[0][1]) == (5 if problem == "ko" else 3)
+
+    def test_manifest_and_stdout_fields(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        expected = {
+            "sin10x": (
+                {"problem": "sin10x", "seed": 7, "count": 50, "noise": 1.0,
+                 "basis": "poly-trig-10", "blocks": "d"},
+                "x,y", "d", 50, {"seed": 7},
+            ),
+            "reaction-diffusion": (
+                {"problem": "reaction-diffusion", "seed": 3, "count": 6, "noise": 0.1,
+                 "lambda_b": 2.5, "basis": "fourier-21", "blocks": "d"},
+                "x,u,f", "d", 6 + 2, {"seed": 3},
+            ),
+            "ko": (
+                {"problem": "ko", "grid_count": 12, "solver_h": 1e-3, "fd_h": 1e-2,
+                 "basis": "quad-monomial-3d",
+                 "blocks": ["d.eq1.jsonl", "d.eq2.jsonl", "d.eq3.jsonl"]},
+                "x,x1,x2,x3", ["d.eq1.jsonl", "d.eq2.jsonl", "d.eq3.jsonl"], 12, {},
+            ),
+        }
+        for problem, (manifest, header, blocks, count, seed) in expected.items():
+            assert main(["gen", problem, *self.GEN_ARGS[problem], "--out", "d"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            text = (tmp_path / "d.manifest.json").read_text()
+            assert text == json.dumps({**manifest, "truth_csv": "d.truth.csv"}, indent=2) + "\n"
+            assert list(payload.items()) == list({
+                "blocks": blocks, "manifest": "d.manifest.json", "truth_csv": "d.truth.csv",
+                "count": count, "basis": manifest["basis"], **seed,
+            }.items())
+            assert (tmp_path / "d.truth.csv").read_text().splitlines()[0] == header
 
     def test_ko_writes_three_streams(self, tmp_path, capsys):
         out = tmp_path / "ko"
@@ -413,6 +457,76 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; each call must behave as
+    if it had a freshly built parser."""
+
+    SEQUENCE = [
+        ["tune", "--checkpoint", "ck.json", "--gamma", "10", "--step-size", "0.1",
+         "--trace", "trace.csv", "--out", "t1.json"],
+        ["tune", "--checkpoint", "ck.json", "--lambda-block", "one.jsonl",
+         "--lambda", "1", "2", "--out", "t2.json"],
+        ["add", "--checkpoint", "ck.json", "one.jsonl", "--step-size", "1e-2",
+         "--out", "a1.json"],
+        ["add", "--checkpoint", "ck.json", "one.jsonl", "--out", "a2.json"],
+        ["fit", "one.jsonl", "--gamma", "1e6", "--method", "lsq", "--out", "f1.json"],
+        ["fit", "one.jsonl", "--gamma", "1e6", "--out", "f2.json"],
+        ["tune", "--checkpoint", "ck.json", "--out", "bad.json"],
+    ]
+
+    def _session(self, workdir, capsys, monkeypatch):
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(["gen", "sin10x", "--count", "30", "--seed", "1", "--out", "d.jsonl"]) == 0
+        assert main(["fit", "d.jsonl", "--gamma", "100", "--method", "rls",
+                     "--out", "ck.json"]) == 0
+        write_blocks(read_blocks("d.jsonl")[:1], "one.jsonl")
+        capsys.readouterr()
+        results = []
+        for argv in self.SEQUENCE:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        return results, files
+
+    def test_sequence_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        reused = self._session(tmp_path / "reused", capsys, monkeypatch)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self._session(tmp_path / "fresh", capsys, monkeypatch)
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 0, 0, 0, 1]
+        assert reused == fresh
+        assert reused[1]["a1.json"] != reused[1]["a2.json"]
+
+    def test_built_once_and_not_at_import(self):
+        assert cli.build_parser() is cli.build_parser()
+        code = ("import ricreg.cli as c; import sys; "
+                "sys.exit(c.build_parser.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["tune", "--help"], ["add", "--nope"],
+                                      ["frobnicate"], ["fit"]])
+    def test_help_and_errors_match_fresh_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def call():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        main(["frobnicate"])  # the cached parser has handled an error before
+        capsys.readouterr()
+        reused = call()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert reused == call()
+        assert reused[1] or reused[2]
 
 
 class TestOutputContract:

@@ -5,6 +5,8 @@ import pytest
 
 from ricreg.model import (
     Checkpoint,
+    block_to_dict,
+    checkpoint_to_dict,
     DataBlock,
     Hyperparams,
     ModelSolution,
@@ -203,6 +205,25 @@ class TestCheckpointFormat:
         assert doc["version"] == "1"
         assert len(doc["p"]) == ck.n * ck.n
 
+    def test_bytes_match_streaming_writer(self, tmp_path):
+        # Reference: the json.dump writer that checkpoints were written with.
+        def reference_write(ck, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(checkpoint_to_dict(ck), fh)
+                fh.write("\n")
+
+        rng = np.random.default_rng(5)
+        cks = [self._random_checkpoint(rng, with_r) for with_r in (True, False)]
+        cks.append(cks[0].with_state(new_state(cks[0].hyperparams)))
+        cks.append(Checkpoint(version="1", n=cks[0].n, hyperparams=cks[0].hyperparams,
+                              state=cks[0].state, metadata={"step_size": repr(1e-3),
+                                                            "note": "caf\u00e9 \"quoted\"\n"}))
+        for i, ck in enumerate(cks):
+            ours, ref = tmp_path / f"ours{i}.json", tmp_path / f"ref{i}.json"
+            write_checkpoint(ck, ours)
+            reference_write(ck, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+
 
 class TestBlockStreamFormat:
     def test_roundtrip(self, tmp_path):
@@ -222,6 +243,27 @@ class TestBlockStreamFormat:
             assert np.array_equal(a.phi, b.phi)
             assert np.array_equal(a.y, b.y)
             assert a.lam == b.lam
+
+    def test_bytes_match_streaming_writer(self, tmp_path):
+        # Reference: the json.dump writer that block streams were written with.
+        def reference_write(blocks, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                for block in blocks:
+                    json.dump(block_to_dict(block), fh)
+                    fh.write("\n")
+
+        rng = np.random.default_rng(11)
+        blocks = [
+            DataBlock(phi=rng.normal(size=(m, 5)) * 10.0 ** rng.integers(-300, 300),
+                      y=rng.normal(size=m), lam=float(rng.uniform(0, 2)))
+            for m in (1, 3, 7)
+        ]
+        blocks.append(DataBlock(phi=np.zeros((2, 5)), y=[-0.0, 1e-320], lam=0.0))
+        for i, stream in enumerate((blocks, blocks[:1], [])):
+            ours, ref = tmp_path / f"ours{i}.jsonl", tmp_path / f"ref{i}.jsonl"
+            write_blocks(stream, ours)
+            reference_write(stream, ref)
+            assert ours.read_bytes() == ref.read_bytes()
 
     def test_record_schema(self, tmp_path):
         path = tmp_path / "one.jsonl"
