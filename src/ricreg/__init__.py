@@ -40,7 +40,7 @@ from .model import (
 )
 from .oracle import solve_direct
 from .pdhg import PdhgConfig, PdhgResult, ProxSpec, pdhg_solve, prox_dual
-from .rls import RlsState, rls_add, rls_fit, rls_new, rls_remove
+from .rls import RlsState, rls_add, rls_fit, rls_remove
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "rk4_step",
     "rls_add",
     "rls_fit",
-    "rls_new",
     "rls_remove",
     "shift_bias",
     "solve_direct",

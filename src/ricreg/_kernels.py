@@ -1,15 +1,20 @@
 """Inner integration loops: plain Python and NumPy, no JIT.
 
-Every data block, single- or multi-row, and every phase of the diagonal
-weight flow is integrated in its row space by ``_rk4_rowspace``: with
-U = P0 phi^T, every RK4 stage of every step keeps P = P0 - U C U^T, and in the
-eigenbasis of the m x m matrix phi U the recurrence for C splits into m scalar
-loops.  A run is one m x m eigh, m scalar loops and one rank-m update of
-(P, q), and agrees with the per-step references in ``tests/test_kernels.py``
-to rounding.  The diagonal flow with weights d >= 0 is the data flow of
-phi = diag(sqrt(d)), restricted to the rows with d > 0, and y = 0.  The only
-other loop is ``integrate_ko``, a scalar RK4 loop over the three floats of
-the KO trajectory.
+One update, two integrals.  With U = P0 phi^T and G = phi U = V diag(a) V^T,
+the flow of a data block over a signed duration T is
+
+    P = P0 - W diag(c) W^T,  q = q0 - W (bh * c),  r = r0 - sum bh^2 c / 2
+
+for W = U V and bh = V^T (phi q0 - y), where c_i is the integral of s^2 for
+ds/dt = -a_i s^2, s(0) = 1.  ``_rowspace_update`` makes that one m x m eigh
+and one rank-m update in place, and takes the integral as an input: the RK4
+kernels pass ``_rk4_decay`` (m scalar loops, equal to the per-step references
+in ``tests/test_kernels.py`` to rounding), ``exact_dense`` passes the closed
+form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and refuses a
+run with some 1 + a T <= 0.  The diagonal flow with weights d >= 0 is the
+data flow of phi = diag(sqrt(d)), restricted to the rows with d > 0, and
+y = 0.  The only other loop is ``integrate_ko``, a scalar RK4 loop over the
+three floats of the KO trajectory.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -23,7 +28,7 @@ and, for a diagonal quadratic term with weights ``d`` (n):
     dq/dt = -P^T (d * q)
     dr/dt = -0.5 sum_k d_k q_k^2
 
-Each kernel advances (p, q, r) in place by ``nsteps`` classical 4-stage
+Each RK4 kernel advances (p, q, r) in place by ``nsteps`` classical 4-stage
 Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
 given, and returns the updated r.  With ``fail_early`` a backward run that RK4
 cannot follow raises ``NumericsError`` before any step is taken.
@@ -97,27 +102,17 @@ def _check_backward(lam, h, nsteps, last):
         )
 
 
-def _rk4_rowspace(
-    p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early, factors=None
-):
-    # A whole run in the row space of phi.  With U = p0^T phi^T (n x m) every
-    # RK4 stage of every step keeps p = p0 - U C U^T and q = q0 - U e, and C, e
-    # follow RK4 on an m x m flow with G = phi U.  In the eigenbasis
-    # G = V diag(lam) V^T that flow decouples (RK4 commutes with the
-    # orthogonal change of variables): with W = U V and bh = V^T (phi q0 - y),
-    #     p = p0 - W diag(c) W^T,  q = q0 - W (bh * c),  dr = -sum bh^2 dc / 2,
-    # where each c_i is the scalar recurrence of ``_rk4_decay`` with a = lam_i.
-    # A run is one eigh, m scalar loops and one rank-m update, equal to the
-    # per-step recurrence up to rounding.  ``factors``, if given, receives
-    # (W, bh, c after each step of size h, one row per step), from which the
-    # intermediate states follow.  (``.dot`` in place of ``@`` skips the ufunc
-    # dispatch that dominates the one-step calls of small blocks.)
+def _rowspace_update(p, q, r, phi, y, duration, integrate, symmetrize, track_loss, wb=None):
+    # The update of the module docstring, with c = integrate(eigenvalues of
+    # G); a NaN in c marks a run that blew up.  ``wb``, if given, receives
+    # (W, bh).  (``.dot`` in place of ``@`` skips the ufunc dispatch that
+    # dominates the calls of small blocks.)
     m, n = phi.shape
     loss_rate = 0.0
     if m > n:
         # The flow sees phi only through phi^T phi, phi^T y and ||y||^2, so
         # phi = Q R gives the same flow with R and Q^T y, plus the constant
-        # loss rate of the residual y - Q Q^T y, which RK4 integrates exactly.
+        # loss rate of the residual y - Q Q^T y, which integrates exactly.
         basis, phi = np.linalg.qr(phi)
         y_in = basis.T @ y
         rest = y - basis @ y_in
@@ -131,11 +126,7 @@ def _rk4_rowspace(
     else:
         lam, v = np.linalg.eigh(0.5 * (g + g.T))
         w, bh = u.dot(v), b.dot(v)
-    lam = lam.tolist()
-    if fail_early and h < 0.0:
-        _check_backward(lam, h, nsteps, last)
-    trails = [array("d") if factors is not None else None for _ in lam]
-    c = [_rk4_decay(a, h, nsteps, last, t) for a, t in zip(lam, trails)]
+    c = integrate(lam.tolist())
     if any(map(math.isnan, c)):
         # Blown up: the state is undefined from here on; NaN marks all of it
         # (without NumPy's inf * 0 warnings) for the caller to report.
@@ -148,13 +139,36 @@ def _rk4_rowspace(
         # One pass over the result makes both p0 and the update symmetric.
         p[:] = 0.5 * (p + p.T)
     q -= wc.dot(bh)
-    if factors is not None:
-        running = np.array(trails).T
-        running *= h / 6.0
-        factors.append((w, bh, running))
+    if wb is not None:
+        wb.append((w, bh))
     if track_loss:
         fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
-        r -= 0.5 * (fit_loss + loss_rate * (h * (nsteps - 1) + last))
+        r -= 0.5 * (fit_loss + loss_rate * duration)
+    return r
+
+
+def _rk4_rowspace(
+    p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early, factors=None
+):
+    # A whole RK4 run as one update: RK4 commutes with the orthogonal change
+    # of variables, so c_i is the scalar recurrence of ``_rk4_decay``.
+    # ``factors``, if given, receives (W, bh, c after each step of size h, one
+    # row per step), from which the intermediate states follow.
+    trails = []
+
+    def integrate(lam):
+        if fail_early and h < 0.0:
+            _check_backward(lam, h, nsteps, last)
+        trails.extend(array("d") if factors is not None else None for _ in lam)
+        return [_rk4_decay(a, h, nsteps, last, t) for a, t in zip(lam, trails)]
+
+    wb = [] if factors is not None else None
+    duration = h * (nsteps - 1) + last
+    r = _rowspace_update(p, q, r, phi, y, duration, integrate, symmetrize, track_loss, wb)
+    if wb:
+        running = np.array(trails).T
+        running *= h / 6.0
+        factors.append((*wb[0], running))
     return r
 
 
@@ -164,6 +178,18 @@ def rk4_dense(
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
     return _rk4_rowspace(p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early)
+
+
+def exact_dense(p, q, r, phi, y, duration, track_loss, refusal):
+    # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
+    # backward run past the blow-up time (as in ``_check_backward``).
+    def integrate(lam):
+        dens = [1.0 + a * duration for a in lam]
+        if not all(den > 0.0 for den in dens):
+            raise NumericsError(refusal)
+        return [duration / den for den in dens]
+
+    return _rowspace_update(p, q, r, phi, y, duration, integrate, True, track_loss)
 
 
 def rk4_diag(

@@ -108,8 +108,7 @@ def bench_incremental(
             # the timed operation only sees the resulting fixed-size state.
             state = rls_fit(hyper, blocks)
             if method == "riccati":
-                flow_state = state.to_riccati_state(r=0.0, elapsed=float(size))
-                update = lambda: add_block(flow_state, new_block, cfg)
+                update = lambda: add_block(state, new_block, cfg)
             else:
                 update = lambda: rls_add(state, new_block)
         samples.append((size, _time_update(update, repetitions)))

@@ -25,6 +25,7 @@ from .model import (
     Hyperparams,
     NumericsError,
     RiccatiState,
+    data_fit_value,
     read_blocks,
     read_checkpoint,
     write_blocks,
@@ -104,10 +105,7 @@ def _exact_state(hyper: Hyperparams, blocks) -> RiccatiState:
     p = 0.5 * (p + p.T)
     q = p @ (rhs - hyper.evaluation_point())
     theta = p @ rhs
-    data_fit = 0.0
-    for block in blocks:
-        resid = block.phi @ theta - block.y
-        data_fit += 0.5 * block.lam * float(resid @ resid)
+    data_fit = data_fit_value(theta, blocks)
     diff = theta - hyper.theta0
     total = data_fit + 0.5 * float(hyper.gamma @ (diff * diff))
     x = hyper.evaluation_point()
@@ -190,9 +188,7 @@ def cmd_fit(args) -> int:
     if args.method == "riccati":
         state = engine.fit(hyper, blocks, cfg)
     elif args.method == "rls":
-        exact = _exact_state(hyper, blocks)
-        rls_state = rls_fit(hyper, blocks)
-        state = rls_state.to_riccati_state(r=exact.r, elapsed=exact.elapsed)
+        state = rls_fit(hyper, blocks)
     else:  # lsq
         state = _exact_state(hyper, blocks)
     ck = Checkpoint(

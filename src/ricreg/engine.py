@@ -27,6 +27,7 @@ from .model import (
     ModelSolution,
     NumericsError,
     RiccatiState,
+    data_fit_value,
     new_state,
     validate_block,
 )
@@ -212,16 +213,6 @@ def loss_from_state(state: RiccatiState, hyper: Hyperparams) -> float:
     return -s_value + 0.5 * float(hyper.theta0 @ x)
 
 
-def _direct_losses(theta, hyper, blocks):
-    data_fit = 0.0
-    for block in blocks:
-        resid = block.phi @ theta - block.y
-        data_fit += 0.5 * block.lam * float(resid @ resid)
-    diff = theta - hyper.theta0
-    reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
-    return data_fit, reg_value
-
-
 def extract_solution(
     state: RiccatiState, hyper: Hyperparams, blocks=None
 ) -> ModelSolution:
@@ -236,7 +227,9 @@ def extract_solution(
         raise ValueError("state and hyperparams dimension mismatch")
     theta = state.p @ hyper.evaluation_point() + state.q
     if blocks is not None:
-        data_fit, reg_value = _direct_losses(theta, hyper, blocks)
+        data_fit = data_fit_value(theta, blocks)
+        diff = theta - hyper.theta0
+        reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
         return ModelSolution(
             theta_star=theta,
             data_fit=data_fit,

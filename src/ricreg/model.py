@@ -23,6 +23,7 @@ __all__ = [
     "Checkpoint",
     "new_state",
     "validate_block",
+    "data_fit_value",
     "read_checkpoint",
     "write_checkpoint",
     "read_blocks",
@@ -94,6 +95,15 @@ def validate_block(block: DataBlock, n: int) -> None:
         raise TypeError(f"expected DataBlock, got {type(block).__name__}")
     if block.n != n:
         raise ValueError(f"block has {block.n} feature columns, model expects {n}")
+
+
+def data_fit_value(theta, blocks) -> float:
+    """The data-fit term 1/2 sum_i lam_i ||phi_i theta - y_i||^2, in block order."""
+    data_fit = 0.0
+    for block in blocks:
+        resid = block.phi @ theta - block.y
+        data_fit += 0.5 * block.lam * float(resid @ resid)
+    return data_fit
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import Hyperparams, ModelSolution, NumericsError, validate_block
+from .model import Hyperparams, ModelSolution, NumericsError, data_fit_value, validate_block
 
 __all__ = ["normal_system", "solve_direct"]
 
@@ -41,10 +41,7 @@ def solve_direct(hyper: Hyperparams, blocks) -> ModelSolution:
             "normal-equations matrix is numerically not positive definite"
         ) from exc
     theta = cho_solve(factor, rhs)
-    data_fit = 0.0
-    for block in blocks:
-        resid = block.phi @ theta - block.y
-        data_fit += 0.5 * block.lam * float(resid @ resid)
+    data_fit = data_fit_value(theta, blocks)
     diff = theta - hyper.theta0
     reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
     return ModelSolution(

@@ -29,6 +29,7 @@ from .model import (
     ModelSolution,
     PdhgState,
     RiccatiState,
+    data_fit_value,
     validate_block,
 )
 
@@ -198,10 +199,7 @@ def pdhg_solve(
         theta = best_theta
     final_residual = residuals[-1] if converged else best_residual
 
-    data_fit = 0.0
-    for block in blocks:
-        resid = block.phi @ theta - block.y
-        data_fit += 0.5 * block.lam * float(resid @ resid)
+    data_fit = data_fit_value(theta, blocks)
     # Fold the linear term into reg_value so total = data_fit + reg_value.
     reg_value = regularizer_value(spec, theta) - float(x @ theta)
     solution = ModelSolution(

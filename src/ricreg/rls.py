@@ -1,114 +1,82 @@
-"""Closed-form recursive least squares on the same sufficient statistic.
+"""Exact updates of the flow state: the flow of each block in closed form.
 
-Each update applies the Woodbury identity to the inverse-information recursion
-P_new^-1 = P^-1 + lam * phi' phi, so the state after any block sequence equals
-the exact continuous flow sampled at the block boundaries:
+Adding a block with weight lam runs the data flow of the block for time lam,
+removing it runs the flow backward.  Along the eigenvector of
+G = phi P phi' with eigenvalue a the flow decays like s = 1 / (1 + a t), so the
+integral of s^2 over the signed duration T = +-lam is c = T / (1 + a T), and
+the row-space update of ``_kernels`` with this integral is the Woodbury
+identity for P_new^-1 = P^-1 + T phi' phi, with the matching updates of q
+and r:
 
-    P_new = P - lam P phi' (I + lam phi P phi')^-1 phi P
-    q_new = q + lam P_new phi' y - lam P phi' (I + lam phi P phi')^-1 phi q
+    P_new = P - T P phi' (I + T phi P phi')^-1 phi P
 
-Removal is the algebraic inverse (lam -> -lam), valid only while
-I - lam phi P phi' stays positive definite.  No forgetting factor and no
-square-root filtering: updates are exact but inherit the usual numerical
-fragility of plain RLS on badly conditioned streams.
+A removal is refused (``NumericsError``) exactly when some 1 + a T <= 0,
+i.e. when I - lam phi P phi' is not positive definite: the block was never
+incorporated, or arithmetic has degraded too far.  No forgetting factor and
+no square-root filtering: updates are exact but inherit the usual numerical
+fragility of plain RLS on badly conditioned streams.  ``elapsed`` follows the
+same rule as the RK4 engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import DataBlock, Hyperparams, NumericsError, RiccatiState, validate_block
+from . import _kernels
+from .engine import _new_elapsed
+from .model import DataBlock, Hyperparams, RiccatiState, validate_block
 
-__all__ = ["RlsState", "rls_new", "rls_add", "rls_remove", "rls_fit"]
+__all__ = ["RlsState", "rls_add", "rls_remove", "rls_fit"]
+
+_ADD_REFUSAL = "ill-conditioned update solve"
+_REMOVE_REFUSAL = "block not removable: I - lam phi P phi' is not positive definite"
 
 
-@dataclass(frozen=True)
-class RlsState:
-    """Covariance-style matrix p (n x n SPD) and accumulator vector q (n)."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float, copy=True)
-        q = np.array(self.q, dtype=float, copy=True)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or q.shape != (p.shape[0],):
-            raise ValueError(f"inconsistent shapes p {p.shape}, q {q.shape}")
-        if not np.isfinite(p).all() or not np.isfinite(q).all():
-            raise NumericsError("non-finite entries in state")
-        p.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
+class RlsState(RiccatiState):
+    """The flow state under its former name, kept for perfbench (a shim)."""
 
     def theta_star(self, hyper: Hyperparams) -> np.ndarray:
-        """Same extraction formula as the flow state: P (gamma*theta0) + q."""
         return self.p @ hyper.evaluation_point() + self.q
 
     def to_riccati_state(self, r: float | None = None, elapsed: float = 0.0) -> RiccatiState:
         return RiccatiState(p=self.p, q=self.q, r=r, elapsed=elapsed)
 
 
-def rls_new(hyper: Hyperparams) -> RlsState:
-    """Fresh state matching the flow's initial condition: p = diag(1/gamma), q = 0."""
-    return RlsState(p=np.diag(1.0 / hyper.gamma), q=np.zeros(hyper.n))
-
-
-def _woodbury(state: RlsState, block: DataBlock, signed_lam: float, context: str) -> RlsState:
-    phi = block.phi
-    u = state.p @ phi.T
-    core = np.eye(block.m) + signed_lam * (phi @ u)
-    try:
-        factor = cho_factor(core)
-    except LinAlgError as exc:
-        raise NumericsError(context) from exc
-    gain = cho_solve(factor, u.T)  # (I + lam phi P phi')^-1 phi P
-    p_new = state.p - signed_lam * (u @ gain)
-    p_new = 0.5 * (p_new + p_new.T)
-    q_new = (
-        state.q
-        + signed_lam * (p_new @ (phi.T @ block.y))
-        - signed_lam * (u @ cho_solve(factor, phi @ state.q))
+def _exact(state: RiccatiState, block: DataBlock, signed_lam: float, refusal: str) -> RlsState:
+    validate_block(block, state.n)
+    if block.lam == 0.0:
+        return state
+    track = state.r is not None
+    p = state.p.copy()
+    q = state.q.copy()
+    r = _kernels.exact_dense(
+        p, q, state.r if track else 0.0, block.phi, block.y, signed_lam, track, refusal
     )
-    if not np.isfinite(p_new).all() or not np.isfinite(q_new).all():
-        raise NumericsError(context)
-    return RlsState(p=p_new, q=q_new)
+    return RlsState(
+        p=p, q=q, r=r if track else None, elapsed=_new_elapsed(state.elapsed, signed_lam)
+    )
 
 
-def rls_add(state: RlsState, block: DataBlock) -> RlsState:
+def rls_add(state: RiccatiState, block: DataBlock) -> RlsState:
     """Exact incorporation of one block."""
-    validate_block(block, state.n)
-    if block.lam == 0.0:
-        return state
-    return _woodbury(state, block, block.lam, "ill-conditioned update solve")
+    return _exact(state, block, block.lam, _ADD_REFUSAL)
 
 
-def rls_remove(state: RlsState, block: DataBlock) -> RlsState:
-    """Exact removal of a previously added block.
-
-    Fails when I - lam phi P phi' is not positive definite, which means the
-    block was never incorporated (or arithmetic has degraded too far).
-    """
-    validate_block(block, state.n)
-    if block.lam == 0.0:
-        return state
-    return _woodbury(
-        state,
-        block,
-        -block.lam,
-        "block not removable: I - lam phi P phi' is not positive definite",
-    )
+def rls_remove(state: RiccatiState, block: DataBlock) -> RlsState:
+    """Exact removal of a previously added block; refused with
+    ``NumericsError`` when I - lam phi P phi' is not positive definite."""
+    return _exact(state, block, -block.lam, _REMOVE_REFUSAL)
 
 
 def rls_fit(hyper: Hyperparams, blocks) -> RlsState:
-    state = rls_new(hyper)
+    """Exact fit from the fresh state p = diag(1/gamma), q = 0, r = 0: one
+    (p, q, r) updated in place, one state built at the end."""
+    p = np.diag(1.0 / hyper.gamma)
+    q = np.zeros(hyper.n)
+    r = elapsed = 0.0
     for block in blocks:
-        state = rls_add(state, block)
-    return state
+        validate_block(block, hyper.n)
+        if block.lam != 0.0:
+            r = _kernels.exact_dense(p, q, r, block.phi, block.y, block.lam, True, _ADD_REFUSAL)
+            elapsed = _new_elapsed(elapsed, block.lam)
+    return RlsState(p=p, q=q, r=r, elapsed=elapsed)

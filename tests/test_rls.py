@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ricreg import (
     DataBlock,
     Hyperparams,
     IntegrationConfig,
     NumericsError,
+    RiccatiState,
+    RlsState,
     fit,
+    loss_from_state,
+    new_state,
     rls_add,
     rls_fit,
-    rls_new,
     rls_remove,
     solve_direct,
 )
@@ -32,14 +38,14 @@ def rand_instance(rng, n, m, count):
 class TestRlsAdd:
     def test_zero_weight_is_noop(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
-        st = rls_new(hyper)
+        st = new_state(hyper)
         assert rls_add(st, DataBlock(phi=[[1.0, 1.0]], y=[1.0], lam=0.0)) is st
 
     def test_hand_computed_scalar_update(self):
         # p0 = 1, phi = [1], y = [1], lam = 1:
         # p1 = 1 - 1/(1+1) = 0.5, q1 = 0 + 1*0.5*1 - 0 = 0.5.
         hyper = Hyperparams(gamma=[1.0], theta0=[0.0])
-        st = rls_add(rls_new(hyper), DataBlock(phi=[[1.0]], y=[1.0]))
+        st = rls_add(new_state(hyper), DataBlock(phi=[[1.0]], y=[1.0]))
         assert st.p[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert st.q[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -76,7 +82,7 @@ class TestRlsRemove:
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
         blk = DataBlock(phi=[[2.0, 0.0]], y=[1.0], lam=1.0)
         with pytest.raises(NumericsError, match="not removable"):
-            rls_remove(rls_new(hyper), blk)
+            rls_remove(new_state(hyper), blk)
 
     def test_remove_one_of_two_matches_oracle(self):
         rng = np.random.default_rng(4)
@@ -102,7 +108,7 @@ class TestRlsInvariants:
     def test_inverse_increases_by_block_information(self):
         rng = np.random.default_rng(6)
         hyper, blocks = rand_instance(rng, 5, 3, 4)
-        st = rls_new(hyper)
+        st = new_state(hyper)
         for blk in blocks:
             st_next = rls_add(st, blk)
             increment = np.linalg.inv(st_next.p) - np.linalg.inv(st.p)
@@ -129,3 +135,114 @@ class TestRlsInvariants:
             st = fit(hyper, blocks, IntegrationConfig(step_h=h))
             errs[h] = np.abs(st.p - exact.p).sum() + np.abs(st.q - exact.q).sum()
         assert errs[2e-2] / errs[1e-2] >= 8.0
+
+
+# -- the Woodbury update by three Cholesky solves, as the reference ---------------
+
+
+def _woodbury(state: RlsState, block: DataBlock, signed_lam: float, context: str) -> RlsState:
+    phi = block.phi
+    u = state.p @ phi.T
+    core = np.eye(block.m) + signed_lam * (phi @ u)
+    try:
+        factor = cho_factor(core)
+    except LinAlgError as exc:
+        raise NumericsError(context) from exc
+    gain = cho_solve(factor, u.T)  # (I + lam phi P phi')^-1 phi P
+    p_new = state.p - signed_lam * (u @ gain)
+    p_new = 0.5 * (p_new + p_new.T)
+    q_new = (
+        state.q
+        + signed_lam * (p_new @ (phi.T @ block.y))
+        - signed_lam * (u @ cho_solve(factor, phi @ state.q))
+    )
+    if not np.isfinite(p_new).all() or not np.isfinite(q_new).all():
+        raise NumericsError(context)
+    return RlsState(p=p_new, q=q_new)
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestAgainstWoodbury:
+    @pytest.mark.parametrize("n, m", [(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (3, 5), (2, 7)])
+    def test_add_and_remove_match_cholesky_reference(self, n, m):
+        rng = np.random.default_rng(100 + 10 * n + m)
+        hyper, blocks = rand_instance(rng, n, m, 9)
+        st = rls_fit(hyper, blocks[:-1])
+        block = blocks[-1]
+        added = rls_add(st, block)
+        ref = _woodbury(st, block, block.lam, "add")
+        assert _rel(added.p, ref.p) <= 1e-12
+        assert _rel(added.q, ref.q) <= 1e-12
+        removed = rls_remove(added, block)
+        ref = _woodbury(added, block, -block.lam, "remove")
+        assert _rel(removed.p, ref.p) <= 1e-12
+        assert _rel(removed.q, ref.q) <= 1e-12
+
+
+class TestExactState:
+    def test_fit_loss_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        for n, m, count in [(4, 1, 20), (7, 3, 15), (3, 6, 10), (10, 1, 200)]:
+            hyper, blocks = rand_instance(rng, n, m, count)
+            st = rls_fit(hyper, blocks)
+            expected = solve_direct(hyper, blocks).total_loss
+            assert loss_from_state(st, hyper) == pytest.approx(expected, rel=1e-12)
+            assert st.elapsed == pytest.approx(sum(b.lam for b in blocks), rel=1e-15)
+
+    def test_add_and_remove_carry_the_loss(self):
+        rng = np.random.default_rng(13)
+        for n, m in [(5, 1), (4, 3), (2, 6)]:
+            hyper, blocks = rand_instance(rng, n, m, 12)
+            added = rls_add(rls_fit(hyper, blocks[:-1]), blocks[-1])
+            expected = solve_direct(hyper, blocks).total_loss
+            assert loss_from_state(added, hyper) == pytest.approx(expected, rel=1e-12)
+            removed = rls_remove(rls_fit(hyper, blocks), blocks[0])
+            expected = solve_direct(hyper, blocks[1:]).total_loss
+            assert loss_from_state(removed, hyper) == pytest.approx(expected, rel=1e-12)
+
+    def test_untracked_loss_stays_untracked(self):
+        rng = np.random.default_rng(12)
+        hyper, blocks = rand_instance(rng, 3, 2, 2)
+        st = RiccatiState(p=np.diag(1.0 / hyper.gamma), q=np.zeros(3), r=None)
+        st = rls_remove(rls_add(st, blocks[0]), blocks[0])
+        assert st.r is None and st.elapsed == 0.0
+
+
+class TestRemovalBoundary:
+    # G = phi P phi' = diag(4, 1): the largest eigenvalue a = 4 decides, and
+    # the exact flow of a removal blows up at a lam = 1.
+    P = np.eye(2)
+    PHI = [[2.0, 0.0], [0.0, 1.0]]
+
+    def _remove(self, lam):
+        st = RiccatiState(p=self.P, q=[0.5, -1.0], r=0.0, elapsed=1.0)
+        return rls_remove(st, DataBlock(phi=self.PHI, y=[1.0, 2.0], lam=lam))
+
+    def test_refused_at_and_just_past_the_blow_up(self):
+        for lam in (0.25, 0.25 * (1.0 + 1e-12)):
+            with pytest.raises(NumericsError, match="not removable"):
+                self._remove(lam)
+
+    def test_passes_just_below_the_blow_up(self):
+        st = self._remove(0.25 * (1.0 - 1e-12))
+        assert np.isfinite(st.p).all() and st.p[0, 0] > 1e10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(1, 8),
+    m=hst.integers(1, 10),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_add_then_remove_returns_the_state(n, m, seed):
+    rng = np.random.default_rng(seed)
+    hyper, blocks = rand_instance(rng, n, m, 3)
+    st = rls_fit(hyper, blocks[:2])
+    back = rls_remove(rls_add(st, blocks[2]), blocks[2])
+    assert _rel(back.p, st.p) <= 1e-10
+    assert np.max(np.abs(back.q - st.q)) <= 1e-10 * max(1.0, np.max(np.abs(st.q)))
+    assert back.r == pytest.approx(st.r, rel=1e-10, abs=1e-10)
+    assert back.elapsed == pytest.approx(st.elapsed, rel=1e-12)
