@@ -13,22 +13,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .model import Hyperparams, ModelSolution, NumericsError, data_fit_value, validate_block
+from .model import Hyperparams, ModelSolution, NumericsError, data_fit_value, weighted_rows
 
 __all__ = ["normal_system", "solve_direct"]
 
 
 def normal_system(hyper: Hyperparams, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate the SPD system matrix and right-hand side, in block order."""
-    a = np.diag(hyper.gamma).astype(float)
-    rhs = hyper.evaluation_point().copy()
-    for block in blocks:
-        validate_block(block, hyper.n)
-        if block.lam == 0.0:
-            continue
-        a += block.lam * (block.phi.T @ block.phi)
-        rhs += block.lam * (block.phi.T @ block.y)
-    return a, rhs
+    """The SPD system matrix diag(gamma) + Phi~' Phi~ and right-hand side
+    gamma * theta0 + Phi~' y~, from the sqrt(lam)-weighted stacked rows."""
+    phi, y = weighted_rows(blocks, hyper.n)
+    return np.diag(hyper.gamma) + phi.T @ phi, hyper.evaluation_point() + phi.T @ y
 
 
 def solve_direct(hyper: Hyperparams, blocks) -> ModelSolution:

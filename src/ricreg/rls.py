@@ -16,6 +16,13 @@ incorporated, or arithmetic has degraded too far.  No forgetting factor and
 no square-root filtering: updates are exact but inherit the usual numerical
 fragility of plain RLS on badly conditioned streams.  ``elapsed`` follows the
 same rule as the RK4 engine.
+
+``rls_fit`` treats the whole stream as one block: the flow of
+1/2 sum_i lam_i ||phi_i theta - y_i||^2 is that of 1/2 ||Phi~ theta - y~||^2
+over unit time, for the rows scaled by sqrt(lam) and stacked.  It applies
+them n rows per update: O(N m n^2) flops and ceil(rows / n) n x n eigh calls
+for N blocks of m rows, against one update per block and the O(N m n^2 + N n^3)
+of one Riccati solve per point.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import _new_elapsed
-from .model import DataBlock, Hyperparams, RiccatiState, validate_block
+from .model import DataBlock, Hyperparams, RiccatiState, validate_block, weighted_rows
 
 __all__ = ["RlsState", "rls_add", "rls_remove", "rls_fit"]
 
@@ -69,14 +76,23 @@ def rls_remove(state: RiccatiState, block: DataBlock) -> RlsState:
 
 
 def rls_fit(hyper: Hyperparams, blocks) -> RlsState:
-    """Exact fit from the fresh state p = diag(1/gamma), q = 0, r = 0: one
-    (p, q, r) updated in place, one state built at the end."""
+    """Exact fit from the fresh state p = diag(1/gamma), q = 0, r = 0.
+
+    The rows of all blocks, scaled by sqrt(lam), are applied as unit-weight
+    updates of n rows each, to one (p, q, r) in place: each update is one
+    n x n eigh, and the stream is never folded into a single update, whose
+    rounding error grows with the number of rows it sums.
+    """
+    blocks = list(blocks)
+    phi, y = weighted_rows(blocks, hyper.n)
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
     r = elapsed = 0.0
+    step = max(hyper.n, 1)
+    for start in range(0, len(y), step):
+        rows = slice(start, start + step)
+        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, True, _ADD_REFUSAL)
     for block in blocks:
-        validate_block(block, hyper.n)
         if block.lam != 0.0:
-            r = _kernels.exact_dense(p, q, r, block.phi, block.y, block.lam, True, _ADD_REFUSAL)
             elapsed = _new_elapsed(elapsed, block.lam)
     return RlsState(p=p, q=q, r=r, elapsed=elapsed)

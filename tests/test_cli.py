@@ -152,6 +152,14 @@ class TestFit:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("record", ["[1, 2]", '{"phi": [[1.0]], "y": [1.0], "lambda": -1}'])
+    def test_bad_record_is_usage_error_naming_its_line(self, tmp_path, capsys, record):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"phi": [[1.0]], "y": [1.0]}\n' + record + "\n")
+        code = main(["fit", str(data), "--gamma", "1", "--out", str(tmp_path / "ck.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}:2: bad block record: ")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(
             ["fit", str(tmp_path / "nope.jsonl"), "--gamma", "1",

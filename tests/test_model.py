@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from ricreg.model import (
     Hyperparams,
     ModelSolution,
     NumericsError,
+    data_fit_value,
     PdhgState,
     RiccatiState,
     new_state,
@@ -62,6 +64,20 @@ class TestValidateBlock:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="feature columns"):
             validate_block(DataBlock(phi=[[1.0, 2.0]], y=[1.0]), 3)
+
+
+class TestDataFitValue:
+    def test_matches_block_by_block_sum(self):
+        rng = np.random.default_rng(4)
+        blocks = [
+            DataBlock(phi=rng.normal(size=(m, 3)), y=rng.normal(size=m), lam=lam)
+            for m, lam in ((1, 0.5), (4, 0.0), (5, 1.7), (2, 1.0))
+        ]
+        theta = rng.normal(size=3)
+        ref = sum(0.5 * b.lam * float(np.sum((b.phi @ theta - b.y) ** 2)) for b in blocks)
+        assert data_fit_value(theta, blocks) == pytest.approx(ref, rel=1e-14)
+        assert data_fit_value(theta, []) == 0.0
+        assert data_fit_value(theta, blocks[1:2]) == 0.0
 
 
 class TestHyperparams:
@@ -275,4 +291,93 @@ class TestBlockStreamFormat:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"phi": [[1.0]], "y": [1.0]}\nnot json\n')
         with pytest.raises(ValueError, match="2"):
+            read_blocks(path)
+
+    @staticmethod
+    def _records(rng, shapes):
+        return [
+            {"phi": rng.normal(size=(m, n)).tolist(), "y": rng.normal(size=m).tolist(),
+             "lambda": lam}
+            for m, n, lam in shapes
+        ]
+
+    @pytest.mark.parametrize("mixed_n", [False, True])
+    def test_blocks_equal_the_constructor_read_only_and_disjoint(self, tmp_path, mixed_n):
+        rng = np.random.default_rng(21)
+        # m > n, lam = 0, and (with mixed_n) blocks of another width.
+        records = self._records(
+            rng, [(1, 3, 0.5), (2, 3, 0.0), (5, 2 if mixed_n else 3, 1.25), (1, 3, 2.0)]
+        )
+        records.insert(2, {"phi": [[1.0, -0.0, 2.0]], "y": [3]})  # default lambda
+        lines = [json.dumps(r) for r in records]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n" + lines[0] + "\n\n   \n" + "\n".join(lines[1:]) + "\n")
+        blocks = read_blocks(path)
+        assert len(blocks) == len(records)
+        for block, rec in zip(blocks, records):
+            ref = DataBlock(phi=rec["phi"], y=rec["y"], lam=rec.get("lambda", 1.0))
+            for got, want in ((block.phi, ref.phi), (block.y, ref.y)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert type(block.lam) is float and block.lam == ref.lam
+        with pytest.raises(ValueError):
+            blocks[0].phi[0, 0] = 1.0
+        if not mixed_n:  # one stack, one view per block
+            assert all(b.phi.base is blocks[0].phi.base for b in blocks)
+        for a, b in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(a.phi, b.phi)
+            assert not np.shares_memory(a.y, b.y)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    def test_empty_stream(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        assert read_blocks(path) == []
+
+    def test_rewrite_gives_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(22)
+        blocks = [
+            DataBlock(phi=rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-300, 300),
+                      y=rng.normal(size=m), lam=lam)
+            for m, lam in ((1, 1.0), (6, 0.25), (3, 0.0))
+        ]
+        blocks.append(DataBlock(phi=np.zeros((2, 4)), y=[-0.0, 1e-320], lam=3.0))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_blocks(blocks, first)
+        write_blocks(read_blocks(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("record", [
+        '{"phi": [[1.0, 2.0]], "y": [1.0], "lambda": null}',
+        '{"phi": [[1.0, 2.0], [3.0]], "y": [1.0, 2.0]}',
+        '{"phi": [[1.0, 2.0]], "y": [1.0, 2.0]}',
+        '{"phi": [[1.0, 2.0], [3.0, 4.0]], "y": [1.0]}',
+        '{"phi": [[NaN, 2.0]], "y": [1.0]}',
+        '{"phi": [[1.0, 2.0]], "y": [Infinity]}',
+        '{"phi": [[1.0, 2.0]], "y": [1.0], "lambda": -1.0}',
+        '{"phi": [[1.0, 2.0]], "y": [1.0], "lambda": Infinity}',
+        '{"phi": [], "y": []}',
+        '{"phi": [[1.0, 2.0]], "y": "1"}',
+        '{"phi": [1.0, 2.0], "y": [1.0, 2.0]}',
+    ])
+    def test_bad_record_raises_the_constructor_message(self, tmp_path, record):
+        doc = json.loads(record)
+        with pytest.raises((ValueError, TypeError)) as ctor:
+            DataBlock(phi=doc["phi"], y=doc["y"], lam=doc.get("lambda", 1.0))
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"phi": [[1.0, 2.0]], "y": [1.0]}\n\n' + record + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_blocks(path)
+        assert str(exc.value) == f"{path}:3: bad block record: {ctor.value}"
+
+    @pytest.mark.parametrize("record, message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("3.5", "expected a JSON object, got float"),
+        ('{"phi": [[1.0]]}', "'y'"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"phi": [[1.0]], "y": [1.0]}\n\n' + record + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl:3: bad block record: .*{message}"):
             read_blocks(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ricreg import DataBlock, Hyperparams, solve_direct
+from ricreg.oracle import normal_system
 from ricreg.problems import relative_l1
 
 
@@ -70,3 +71,19 @@ class TestSolveDirect:
             solve_direct(hyper, padded).theta_star,
             solve_direct(hyper, base).theta_star,
         ) == 0.0
+
+    def test_normal_system_matches_block_sums(self):
+        rng = np.random.default_rng(4)
+        hyper = Hyperparams(gamma=rng.uniform(0.5, 2.0, 4), theta0=rng.normal(size=4))
+        blocks = [
+            DataBlock(phi=rng.normal(size=(m, 4)), y=rng.normal(size=m), lam=lam)
+            for m, lam in ((1, 0.3), (6, 1.7), (2, 0.0), (3, 1.0))
+        ]
+        a, rhs = normal_system(hyper, blocks)
+        ref_a = np.diag(hyper.gamma) + sum(b.lam * b.phi.T @ b.phi for b in blocks)
+        ref_rhs = hyper.gamma * hyper.theta0 + sum(b.lam * b.phi.T @ b.y for b in blocks)
+        assert relative_l1(a, ref_a) <= 1e-14
+        assert relative_l1(rhs, ref_rhs) <= 1e-14
+        a, rhs = normal_system(hyper, [])
+        assert np.array_equal(a, np.diag(hyper.gamma))
+        assert np.array_equal(rhs, hyper.gamma * hyper.theta0)

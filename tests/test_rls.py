@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,3 +248,71 @@ def test_add_then_remove_returns_the_state(n, m, seed):
     assert np.max(np.abs(back.q - st.q)) <= 1e-10 * max(1.0, np.max(np.abs(st.q)))
     assert back.r == pytest.approx(st.r, rel=1e-10, abs=1e-10)
     assert back.elapsed == pytest.approx(st.elapsed, rel=1e-12)
+
+
+def _rational_fit(hyper, blocks):
+    """The exact fit in rational arithmetic, as floats: P = A^-1 for
+    A = diag(gamma) + sum lam phi' phi, q = P s for s = sum lam phi' y, and
+    r = (s' P s - sum lam ||y||^2) / 2."""
+    n = hyper.n
+    a = [[Fraction(g) if i == j else Fraction(0) for j in range(n)]
+         for i, g in enumerate(hyper.gamma.tolist())]
+    s = [Fraction(0)] * n
+    yy = Fraction(0)
+    for block in blocks:
+        lam = Fraction(block.lam)
+        for row, target in zip(block.phi.tolist(), block.y.tolist()):
+            row = [Fraction(v) for v in row]
+            target = Fraction(target)
+            yy += lam * target * target
+            for i in range(n):
+                s[i] += lam * row[i] * target
+                for j in range(n):
+                    a[i][j] += lam * row[i] * row[j]
+    # Gauss-Jordan on [A | I]; A is SPD, so every pivot is nonzero.
+    aug = [a[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [vi - f * vc for vi, vc in zip(aug[i], aug[col])]
+    p = [row[n:] for row in aug]
+    q = [sum(p[i][j] * s[j] for j in range(n)) for i in range(n)]
+    r = (sum(si * qi for si, qi in zip(s, q)) - yy) / 2
+    return np.array([[float(v) for v in row] for row in p]), np.array([float(v) for v in q]), float(r)
+
+
+class TestFitAgainstRationalReference:
+    # (n, [(m, lam), ...]): lam = 0 and mixed weights; m > n; row counts that
+    # are not a multiple of n; blocks that straddle an n-row boundary (with
+    # n = 5, rows 3-5 and 8-11).
+    CASES = {
+        "mixed-lam-with-zeros": (4, [(1, 0.5), (1, 0.0), (1, 1.5), (1, 2.0), (1, 0.0),
+                                     (1, 0.25), (1, 1.0), (1, 0.75), (1, 1.25), (1, 0.1),
+                                     (1, 1.8), (1, 0.6), (1, 0.9)]),
+        "m-greater-than-n": (3, [(5, 0.7), (1, 0.0), (4, 1.3), (7, 0.2)]),
+        "straddling-blocks": (5, [(3, 1.0), (3, 0.4), (2, 1.6), (4, 0.0), (4, 0.8), (1, 1.1)]),
+        "n6-mixed-m": (6, [(1, 0.3), (7, 1.2), (2, 0.0), (4, 0.9), (3, 1.7), (6, 0.5)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_rational_reference_and_rls_add_chain(self, name):
+        n, shapes = self.CASES[name]
+        rng = np.random.default_rng(sorted(self.CASES).index(name))
+        hyper = Hyperparams(gamma=rng.uniform(0.5, 2.0, n), theta0=rng.normal(size=n))
+        blocks = [DataBlock(phi=rng.normal(size=(m, n)), y=rng.normal(size=m), lam=lam)
+                  for m, lam in shapes]
+        st = rls_fit(hyper, blocks)
+        p, q, r = _rational_fit(hyper, blocks)
+        assert _rel(st.p, p) <= 1e-12
+        assert _rel(st.q, q) <= 1e-12
+        assert abs(st.r - r) <= 1e-12 * abs(r)
+        chain = new_state(hyper)
+        for block in blocks:
+            chain = rls_add(chain, block)
+        assert _rel(st.p, chain.p) <= 1e-12
+        assert _rel(st.q, chain.q) <= 1e-12
+        assert abs(st.r - chain.r) <= 1e-12 * abs(chain.r)
+        assert st.elapsed == chain.elapsed
