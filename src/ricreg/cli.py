@@ -22,12 +22,14 @@ from .bench import bench_incremental
 from .model import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    DataBlock,
     Hyperparams,
     NumericsError,
     RiccatiState,
     data_fit_value,
     read_blocks,
     read_checkpoint,
+    weighted_rows,
     write_blocks,
     write_checkpoint,
 )
@@ -98,14 +100,15 @@ def _solution_payload(ck_path, solution) -> dict:
     return payload
 
 
-def _exact_state(hyper: Hyperparams, blocks) -> RiccatiState:
-    """Closed-form flow state (P, q, r) from the normal equations."""
-    a, rhs = normal_system(hyper, blocks)
+def _exact_state(hyper: Hyperparams, blocks, stream) -> RiccatiState:
+    """Closed-form flow state (P, q, r) from the normal equations; ``stream``
+    is ``blocks`` as one unit-weight block (see ``cmd_fit``)."""
+    a, rhs = normal_system(hyper, stream)
     p = np.linalg.inv(a)
     p = 0.5 * (p + p.T)
     q = p @ (rhs - hyper.evaluation_point())
     theta = p @ rhs
-    data_fit = data_fit_value(theta, blocks)
+    data_fit = data_fit_value(theta, stream)
     diff = theta - hyper.theta0
     total = data_fit + 0.5 * float(hyper.gamma @ (diff * diff))
     x = hyper.evaluation_point()
@@ -185,12 +188,16 @@ def cmd_fit(args) -> int:
         theta0=_parse_vector(args.theta0, n, "--theta0"),
     )
     cfg = engine.IntegrationConfig(step_h=args.step_size)
+    # Stack the sqrt(lam)-scaled rows once.  As one unit-weight block they
+    # have the data fit and the normal system of the whole stream, bit for bit.
+    rows = weighted_rows(blocks, n)
+    stream = [DataBlock(*rows)] if len(rows[1]) else []
     if args.method == "riccati":
         state = engine.fit(hyper, blocks, cfg)
     elif args.method == "rls":
-        state = rls_fit(hyper, blocks)
+        state = rls_fit(hyper, blocks, rows)
     else:  # lsq
-        state = _exact_state(hyper, blocks)
+        state = _exact_state(hyper, blocks, stream)
     ck = Checkpoint(
         version=CHECKPOINT_VERSION,
         n=n,
@@ -199,7 +206,7 @@ def cmd_fit(args) -> int:
         metadata=_state_metadata(args, {"method": args.method}),
     )
     write_checkpoint(ck, args.out)
-    solution = engine.extract_solution(state, hyper, blocks)
+    solution = engine.extract_solution(state, hyper, stream)
     _emit({**_solution_payload(args.out, solution), "method": args.method}, args.pretty)
     return EXIT_OK
 
@@ -346,27 +353,47 @@ def cmd_pdhg(args) -> int:
 # -- eval -------------------------------------------------------------------------
 
 
+def _blank(row: list) -> bool:
+    """A CSV row of a blank line: no field, or one field of whitespace."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def _read_truth_csv(path, column: str | None) -> np.ndarray:
+    """One column of a truth CSV, read in one pass; blank lines are skipped.
+
+    A first row that parses as numbers is data (the file has no header) and
+    its last column is read; otherwise it is the header, and ``column`` (by
+    default the last one) is read.  A short row or a value ``float`` cannot
+    parse raises ``ValueError`` naming the file and line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty truth file")
-    header, body = rows[0], rows[1:]
-    try:
-        [float(v) for v in header]
-    except ValueError:
-        pass  # real header row
-    else:
-        header, body = None, rows
-    if header is None:
-        idx = -1
-    elif column is not None:
-        if column not in header:
-            raise ValueError(f"{path}: no column {column!r} in {header}")
-        idx = header.index(column)
-    else:
-        idx = len(header) - 1
-    return np.array([float(row[idx]) for row in body])
+        reader = csv.reader(fh)
+        first = next((row for row in reader if not _blank(row)), None)
+        if first is None:
+            raise ValueError(f"{path}: empty truth file")
+        try:
+            values = [float(v) for v in first]
+        except ValueError:  # a header row
+            if column is not None and column not in first:
+                raise ValueError(f"{path}: no column {column!r} in {first}")
+            idx = first.index(column) if column is not None else len(first) - 1
+            values = []
+        else:
+            idx = len(first) - 1
+            values = [values[idx]]
+        for row in reader:
+            try:
+                values.append(float(row[idx]))
+            except (IndexError, ValueError):
+                if _blank(row):
+                    continue
+                if len(row) <= idx:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: short row: expected at least "
+                        f"{idx + 1} columns, got {len(row)}"
+                    ) from None
+                raise ValueError(f"{path}:{reader.line_num}: not a number: {row[idx]!r}") from None
+    return np.array(values)
 
 
 def cmd_eval(args) -> int:

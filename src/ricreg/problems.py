@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bases import feature_row, get_basis, residual_row
+from .bases import feature_matrix, feature_row, get_basis, residual_matrix
 from .model import DataBlock
 from .rng import Xoshiro256pp
 
@@ -50,6 +50,16 @@ class GeneratedProblem:
     rng_seed: int = 0
 
 
+def _draw_points(rng: Xoshiro256pp, count: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` locations ``scale * uniform`` and their gaussian noise
+    deviates, drawn in the order location, deviate for each point."""
+    xs, eps = np.empty(count), np.empty(count)
+    for i in range(count):
+        xs[i] = scale * rng.uniform()
+        eps[i] = rng.gaussian()
+    return xs, eps
+
+
 def gen_sin10x(count: int, seed: int, noise_scale: float = 1.0) -> GeneratedProblem:
     """Scalar regression stream: y = sin(10 x) + noise, x uniform on [0, 10].
 
@@ -59,15 +69,12 @@ def gen_sin10x(count: int, seed: int, noise_scale: float = 1.0) -> GeneratedProb
     if count < 0:
         raise ValueError("count must be >= 0")
     basis = get_basis("poly-trig-10")
-    rng = Xoshiro256pp(seed)
+    xs, eps = _draw_points(Xoshiro256pp(seed), count, 10.0)
     blocks = []
-    for _ in range(count):
-        x = 10.0 * rng.uniform()
-        eps = rng.gaussian()
-        row = feature_row(basis, x)
-        blocks.append(
-            DataBlock(phi=row[None, :], y=[math.sin(10.0 * x) + noise_scale * eps])
-        )
+    if count:
+        rows = feature_matrix(basis, xs)
+        ys = np.sin(10.0 * xs) + noise_scale * eps
+        blocks = [DataBlock(phi=row[None, :], y=[y]) for row, y in zip(rows, ys.tolist())]
     return GeneratedProblem(
         blocks=tuple(blocks),
         basis_name=basis.name,
@@ -104,18 +111,17 @@ def gen_reaction_diffusion(
     if lambda_b < 0:
         raise ValueError("lambda_b must be >= 0")
     basis = get_basis("fourier-21")
-    rng = Xoshiro256pp(seed)
+    xs, eps = _draw_points(Xoshiro256pp(seed), count, 1.0)
     blocks = []
-    for _ in range(count):
-        x = rng.uniform()
-        eps = rng.gaussian()
-        row = residual_row(basis, x, REACTION_DIFFUSIVITY, REACTION_RATE)
-        f_meas = float(_reaction_source(x)) + noise_scale * eps
-        blocks.append(DataBlock(phi=row[None, :], y=[f_meas]))
-    for xb in (0.0, 1.0):
-        blocks.append(
-            DataBlock(phi=feature_row(basis, xb)[None, :], y=[0.0], lam=lambda_b)
-        )
+    if count:
+        rows = residual_matrix(basis, xs, REACTION_DIFFUSIVITY, REACTION_RATE)
+        # The source per point: on a whole array NumPy's power (s**3) can
+        # round differently from the scalar one.
+        f_meas = [float(_reaction_source(x)) + noise_scale * e
+                  for x, e in zip(xs.tolist(), eps.tolist())]
+        blocks = [DataBlock(phi=row[None, :], y=[f]) for row, f in zip(rows, f_meas)]
+    for row in feature_matrix(basis, [0.0, 1.0]):
+        blocks.append(DataBlock(phi=row[None, :], y=[0.0], lam=lambda_b))
     return GeneratedProblem(
         blocks=tuple(blocks),
         basis_name=basis.name,
@@ -184,12 +190,12 @@ def gen_ko(
     sample_idx = np.round(np.linspace(offset, nsteps - offset, grid_count)).astype(int)
 
     basis = get_basis("quad-monomial-3d")
+    rows = feature_matrix(basis, states[sample_idx])
+    dys = (states[sample_idx + offset] - states[sample_idx - offset]) / (2.0 * fd_h)
     equations = ([], [], [])
-    for j in sample_idx:
-        row = feature_row(basis, states[j])[None, :]
+    for row, dy in zip(rows, dys.tolist()):
         for i in range(3):
-            dy = (states[j + offset, i] - states[j - offset, i]) / (2.0 * fd_h)
-            equations[i].append(DataBlock(phi=row, y=[dy]))
+            equations[i].append(DataBlock(phi=row[None, :], y=[dy[i]]))
     return KoProblem(
         equations=tuple(tuple(eq) for eq in equations),
         basis_name=basis.name,

@@ -75,16 +75,18 @@ def rls_remove(state: RiccatiState, block: DataBlock) -> RlsState:
     return _exact(state, block, -block.lam, _REMOVE_REFUSAL)
 
 
-def rls_fit(hyper: Hyperparams, blocks) -> RlsState:
+def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     """Exact fit from the fresh state p = diag(1/gamma), q = 0, r = 0.
 
     The rows of all blocks, scaled by sqrt(lam), are applied as unit-weight
     updates of n rows each, to one (p, q, r) in place: each update is one
     n x n eigh, and the stream is never folded into a single update, whose
-    rounding error grows with the number of rows it sums.
+    rounding error grows with the number of rows it sums.  ``rows`` is
+    ``weighted_rows(blocks, hyper.n)`` when the caller has stacked them
+    already.
     """
     blocks = list(blocks)
-    phi, y = weighted_rows(blocks, hyper.n)
+    phi, y = weighted_rows(blocks, hyper.n) if rows is None else rows
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
     r = elapsed = 0.0

@@ -132,6 +132,27 @@ class TestFit:
             thetas[method] = np.array(payload["theta_star"])
         assert relative_l1(thetas["rls"], thetas["lsq"]) <= 1e-10
 
+    @pytest.mark.parametrize("method", ["riccati", "rls", "lsq"])
+    def test_stream_is_stacked_once(self, sin_data, tmp_path, capsys, monkeypatch, method):
+        from ricreg import model, oracle, rls
+
+        stacked = []
+        original = model.weighted_rows
+
+        def counting(blocks, n):
+            blocks = list(blocks)
+            stacked.append(len(blocks))
+            return original(blocks, n)
+
+        for module in (model, oracle, rls, cli):
+            monkeypatch.setattr(module, "weighted_rows", counting)
+        code, _ = run(capsys, "fit", str(sin_data[0]), "--gamma", "100", "--method",
+                      method, "--out", str(tmp_path / "ck.json"))
+        assert code == 0
+        # One stack of the 200 blocks; every later use sees it as one block.
+        assert stacked[0] == 200
+        assert all(count == 1 for count in stacked[1:])
+
     def test_empty_data_returns_prior(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("")
@@ -443,6 +464,69 @@ class TestEval:
         )
         assert code == 0
         assert payload["relative_l2"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTruthCsv:
+    @pytest.fixture
+    def ck(self, sin_data, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        run(capsys, "fit", str(sin_data[0]), "--gamma", "100", "--method", "lsq",
+            "--out", str(ck))
+        return ck
+
+    @staticmethod
+    def _eval(capsys, ck, truth, *extra):
+        code = main(["eval", "--checkpoint", str(ck), "--basis", "poly-trig-10",
+                     "--grid", "0,10,3", "--truth", str(truth), *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_blank_lines_are_skipped(self, ck, tmp_path, capsys):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("x,y\n0.0,1.0\n5.0,2.0\n10.0,3.0\n")
+        spaced.write_text("\nx,y\n0.0,1.0\n\n5.0,2.0\n  \n10.0,3.0\n\n")
+        expected = self._eval(capsys, ck, plain)
+        assert expected[0] == 0
+        assert self._eval(capsys, ck, spaced) == expected
+
+    def test_headerless_file_reads_its_last_column(self, ck, tmp_path, capsys):
+        with_header, headerless = tmp_path / "h.csv", tmp_path / "nh.csv"
+        with_header.write_text("x,y\n0.0,1.0\n5.0,2.0\n10.0,3.0\n")
+        headerless.write_text("0.0,1.0\n5.0,2.0\n10.0,3.0\n")
+        expected = self._eval(capsys, ck, with_header)
+        assert expected[0] == 0
+        assert self._eval(capsys, ck, headerless, "--truth-column", "y") == expected
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("x,y\n0.0,1.0\n\n0.5\n", 4, "short row: expected at least 2 columns, got 1"),
+        ("x,y,z\n0.0,1.0,2.0\n0.5,1.5\n1.0,2.0,3.0\n", 3, "short row"),
+        ("0.0,1.0\n0.5\n1.0,2.0\n", 2, "short row: expected at least 2 columns, got 1"),
+        ("x,y\n0.0,1.0\n0.5,abc\n1.0,2.0\n", 3, "not a number: 'abc'"),
+        ("x,y\n0.0,1.0\n0.5,\n1.0,2.0\n", 3, "not a number: ''"),
+    ], ids=["blank-then-short", "short-of-three", "headerless-short", "letters", "empty-field"])
+    def test_bad_row_is_input_error_naming_its_line(self, ck, tmp_path, capsys, text, line,
+                                                    message):
+        truth = tmp_path / "bad.csv"
+        truth.write_text(text)
+        code, out, err = self._eval(capsys, ck, truth)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {truth}:{line}: ")
+        assert message in err
+
+    def test_missing_column_is_input_error(self, ck, tmp_path, capsys):
+        truth = tmp_path / "t.csv"
+        truth.write_text("x,y\n0.0,1.0\n5.0,2.0\n10.0,3.0\n")
+        code, out, err = self._eval(capsys, ck, truth, "--truth-column", "u")
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: {truth}: no column 'u' in ['x', 'y']\n"
+
+    def test_empty_file_is_input_error(self, ck, tmp_path, capsys):
+        truth = tmp_path / "t.csv"
+        truth.write_text("\n\n")
+        code, out, err = self._eval(capsys, ck, truth)
+        assert code == cli.EXIT_USAGE
+        assert err == f"error: {truth}: empty truth file\n"
 
 
 class TestBenchCommand:
