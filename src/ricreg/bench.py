@@ -51,21 +51,27 @@ def _random_blocks(count: int, n: int, m: int, rng: Xoshiro256pp) -> list[DataBl
     return blocks
 
 
-def _time_update(update, min_repetitions: int) -> float:
-    """Median batch-average wall time; batches sized so one batch >= ~2 ms."""
-    update()  # warm-up (caches)
-    t0 = time.perf_counter()
-    update()
-    once = max(time.perf_counter() - t0, 1e-9)
-    batch = max(1, int(math.ceil(0.002 / once)))
-    rounds = max(5, int(math.ceil(min_repetitions / batch)))
-    times = []
-    for _ in range(rounds):
+def _time_updates(updates, min_repetitions: int) -> list[float]:
+    """Median batch-average wall time of each update; batches sized so one
+    batch >= ~2 ms.  The timed rounds alternate between the updates, one
+    batch of each per round, so that a slow phase of the host hits all of
+    them alike and cancels out of their ratios."""
+    batches = []
+    for update in updates:
+        update()  # warm-up (caches)
         t0 = time.perf_counter()
-        for _ in range(batch):
-            update()
-        times.append((time.perf_counter() - t0) / batch)
-    return float(np.median(times))
+        update()
+        once = max(time.perf_counter() - t0, 1e-9)
+        batches.append(max(1, int(math.ceil(0.002 / once))))
+    rounds = max(5, *(int(math.ceil(min_repetitions / b)) for b in batches))
+    times = [[] for _ in updates]
+    for _ in range(rounds):
+        for update, batch, out in zip(updates, batches, times):
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                update()
+            out.append((time.perf_counter() - t0) / batch)
+    return [float(np.median(t)) for t in times]
 
 
 def bench_incremental(
@@ -77,7 +83,9 @@ def bench_incremental(
     seed: int = 20240,
     repetitions: int = 20,
 ) -> BenchReport:
-    """Time one model update at each prebuilt dataset size.
+    """Time one model update at each prebuilt dataset size.  Every size's
+    update is built before any is timed, and the timed rounds alternate
+    between the sizes (``_time_updates``).
 
     For the incremental methods the update is a single block addition on a
     state already holding N points; for ``lsq`` it is the full direct solve
@@ -97,21 +105,21 @@ def bench_incremental(
     new_block = _random_blocks(1, n, m, rng)[0]
     cfg = IntegrationConfig(step_h=h)
 
-    samples = []
+    updates = []
     for size in sizes:
         blocks = pool[:size]
         if method == "lsq":
             all_blocks = blocks + [new_block]
-            update = lambda: solve_direct(hyper, all_blocks)
+            updates.append(lambda all_blocks=all_blocks: solve_direct(hyper, all_blocks))
         else:
             # The prebuilt state is assembled with the exact Woodbury updates;
             # the timed operation only sees the resulting fixed-size state.
             state = rls_fit(hyper, blocks)
             if method == "riccati":
-                update = lambda: add_block(state, new_block, cfg)
+                updates.append(lambda state=state: add_block(state, new_block, cfg))
             else:
-                update = lambda: rls_add(state, new_block)
-        samples.append((size, _time_update(update, repetitions)))
+                updates.append(lambda state=state: rls_add(state, new_block))
+    samples = tuple(zip(sizes, _time_updates(updates, repetitions)))
     return BenchReport(
-        method=method, n=n, m=m, samples=tuple(samples), repetitions=repetitions
+        method=method, n=n, m=m, samples=samples, repetitions=repetitions
     )

@@ -33,7 +33,7 @@ from .model import (
     write_blocks,
     write_checkpoint,
 )
-from .oracle import normal_system, solve_direct
+from .oracle import normal_system, spd_cholesky
 from .rls import rls_fit
 
 EXIT_OK = 0
@@ -102,9 +102,12 @@ def _solution_payload(ck_path, solution) -> dict:
 
 def _exact_state(hyper: Hyperparams, blocks, stream) -> RiccatiState:
     """Closed-form flow state (P, q, r) from the normal equations; ``stream``
-    is ``blocks`` as one unit-weight block (see ``cmd_fit``)."""
+    is ``blocks`` as one unit-weight block (see ``cmd_fit``).  P = L^-T L^-1
+    from the one Cholesky factor L of the normal matrix, which raises
+    ``NumericsError`` when that matrix is numerically not SPD."""
     a, rhs = normal_system(hyper, stream)
-    p = np.linalg.inv(a)
+    lower_inv = np.linalg.solve(spd_cholesky(a), np.eye(hyper.n))
+    p = lower_inv.T @ lower_inv
     p = 0.5 * (p + p.T)
     q = p @ (rhs - hyper.evaluation_point())
     theta = p @ rhs

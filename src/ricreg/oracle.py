@@ -3,19 +3,20 @@ checked against.
 
     theta* = (Gamma + sum_i lam_i phi_i' phi_i)^-1 (Gamma theta0 + sum_i lam_i phi_i' y_i)
 
-The system matrix is SPD whenever the hyper-parameters are valid, so a
-Cholesky solve is always applicable; a failed factorization is reported as a
-conditioning problem rather than silently regularized.
+The system matrix is SPD whenever the hyper-parameters are valid, so it is
+solved through its Cholesky factor L (``numpy.linalg.cholesky``) and two
+solves against L and L'.  The factorization is the SPD test: a matrix that
+is numerically not positive definite is reported as ``NumericsError``
+rather than silently regularized.  Only NumPy is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .model import Hyperparams, ModelSolution, NumericsError, data_fit_value, weighted_rows
 
-__all__ = ["normal_system", "solve_direct"]
+__all__ = ["normal_system", "solve_direct", "spd_cholesky"]
 
 
 def normal_system(hyper: Hyperparams, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -25,16 +26,25 @@ def normal_system(hyper: Hyperparams, blocks) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(hyper.gamma) + phi.T @ phi, hyper.evaluation_point() + phi.T @ y
 
 
-def solve_direct(hyper: Hyperparams, blocks) -> ModelSolution:
-    blocks = list(blocks)
-    a, rhs = normal_system(hyper, blocks)
+def spd_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the normal-equations matrix, L L' = a;
+    ``NumericsError`` if ``a`` is not finite or numerically not positive
+    definite (NumPy's factorization passes inf and NaN through)."""
+    if not np.isfinite(a).all():
+        raise NumericsError("normal-equations matrix is not finite: the data overflow")
     try:
-        factor = cho_factor(a)
-    except LinAlgError as exc:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NumericsError(
             "normal-equations matrix is numerically not positive definite"
         ) from exc
-    theta = cho_solve(factor, rhs)
+
+
+def solve_direct(hyper: Hyperparams, blocks) -> ModelSolution:
+    blocks = list(blocks)
+    a, rhs = normal_system(hyper, blocks)
+    lower = spd_cholesky(a)
+    theta = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     data_fit = data_fit_value(theta, blocks)
     diff = theta - hyper.theta0
     reg_value = 0.5 * float(hyper.gamma @ (diff * diff))

@@ -18,6 +18,12 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def _src_env():
+    """The environment of a subprocess that imports this ``ricreg``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture
 def sin_data(tmp_path, capsys):
     path = tmp_path / "data.jsonl"
@@ -152,6 +158,37 @@ class TestFit:
         # One stack of the 200 blocks; every later use sees it as one block.
         assert stacked[0] == 200
         assert all(count == 1 for count in stacked[1:])
+
+    @pytest.mark.parametrize("problem", ["sin10x", "reaction-diffusion"])
+    def test_lsq_matches_rls_to_rounding(self, tmp_path, capsys, problem):
+        data = tmp_path / "data.jsonl"
+        gen_args = {"sin10x": ["--count", "200", "--seed", "0"],
+                    "reaction-diffusion": ["--count", "120", "--seed", "5"]}[problem]
+        assert run(capsys, "gen", problem, *gen_args, "--out", str(data))[0] == 0
+        gamma = "100" if problem == "sin10x" else "1"
+        states, thetas = {}, {}
+        for method in ("rls", "lsq"):
+            out = tmp_path / f"{method}.json"
+            code, payload = run(capsys, "fit", str(data), "--gamma", gamma,
+                                "--method", method, "--out", str(out))
+            assert code == 0
+            states[method] = read_checkpoint(out).state
+            thetas[method] = np.array(payload["theta_star"])
+        lsq, rls = states["lsq"], states["rls"]
+        assert np.array_equal(lsq.p, lsq.p.T)
+        for got, ref in ((lsq.p, rls.p), (lsq.q, rls.q), (lsq.r, rls.r),
+                         (thetas["lsq"], thetas["rls"])):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_lsq_on_numerically_singular_system_is_numerical_failure(self, tmp_path, capsys):
+        data = tmp_path / "one.jsonl"
+        write_blocks([DataBlock(phi=[[1.0, 1.0]], y=[1.0])], data)
+        out = tmp_path / "ck.json"
+        code = main(["fit", str(data), "--gamma", "1e-300", "--method", "lsq",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: normal-equations")
+        assert not out.exists()
 
     def test_empty_data_returns_prior(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
@@ -596,9 +633,7 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
         code = ("import ricreg.cli as c; import sys; "
                 "sys.exit(c.build_parser.cache_info().currsize)")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
     @pytest.mark.parametrize("argv", [["--help"], ["tune", "--help"], ["add", "--nope"],
                                       ["frobnicate"], ["fit"]])
@@ -619,6 +654,15 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         assert reused == call()
         assert reused[1] or reused[2]
+
+
+class TestRuntimeImports:
+    def test_runtime_imports_no_scipy(self):
+        code = ("import sys, ricreg, ricreg.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestOutputContract:
