@@ -6,15 +6,15 @@ the flow of a data block over a signed duration T is
     P = P0 - W diag(c) W^T,  q = q0 - W (bh * c),  r = r0 - sum bh^2 c / 2
 
 for W = U V and bh = V^T (phi q0 - y), where c_i is the integral of s^2 for
-ds/dt = -a_i s^2, s(0) = 1.  ``_rowspace_update`` makes that one m x m eigh
-and one rank-m update in place, and takes the integral as an input: the RK4
-kernels pass ``_rk4_decay`` (m scalar loops, equal to the per-step references
-in ``tests/test_kernels.py`` to rounding), ``exact_dense`` passes the closed
-form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and refuses a
-run with some 1 + a T <= 0.  The diagonal flow with weights d >= 0 is the
-data flow of phi = diag(sqrt(d)), restricted to the rows with d > 0, and
-y = 0.  The only other loop is ``integrate_ko``, a scalar RK4 loop over the
-three floats of the KO trajectory.
+ds/dt = -a_i s^2, s(0) = 1.  Each kernel is one m x m eigh (``_factors``),
+the m integrals, and one rank-m update in place (``_update``).  The RK4
+kernels integrate with ``_rk4_decay`` (m scalar loops, equal to the per-step
+references in ``tests/test_kernels.py`` to rounding); ``exact_dense`` takes
+the closed form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and
+refuses a run with some 1 + a T <= 0.  The diagonal flow with weights d >= 0
+is the data flow of phi = diag(sqrt(d)), restricted to the rows with d > 0,
+and y = 0.  The only other loop is ``integrate_ko``, a scalar RK4 loop over
+the three floats of the KO trajectory.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -30,14 +30,17 @@ and, for a diagonal quadratic term with weights ``d`` (n):
 
 Each RK4 kernel advances (p, q, r) in place by ``nsteps`` classical 4-stage
 Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
-given, and returns the updated r.  With ``fail_early`` a backward run that RK4
-cannot follow raises ``NumericsError`` before any step is taken.
+given.  Every kernel returns a ``Run``: the updated r and the factors W and
+bh.  With ``fail_early`` a backward run that RK4 cannot follow raises
+``NumericsError`` before any step is taken.  P always leaves a kernel exactly
+symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,11 +105,21 @@ def _check_backward(lam, h, nsteps, last):
         )
 
 
-def _rowspace_update(p, q, r, phi, y, duration, integrate, symmetrize, track_loss, wb=None):
-    # The update of the module docstring, with c = integrate(eigenvalues of
-    # G); a NaN in c marks a run that blew up.  ``wb``, if given, receives
-    # (W, bh).  (``.dot`` in place of ``@`` skips the ufunc dispatch that
-    # dominates the calls of small blocks.)
+class Run(NamedTuple):
+    """What one run of a kernel returns: the updated r, the factors W and bh
+    of its row-space update, and, for ``rk4_diag(..., trail=True)``, the
+    running integrals c after each step of size h, one row per step."""
+
+    r: float
+    w: np.ndarray
+    bh: np.ndarray
+    running: np.ndarray | None = None
+
+
+def _factors(p, q, phi, y):
+    # The eigenvalues a of G (a list), W, bh and the loss rate of the
+    # residual outside the row space of phi.  (``.dot`` in place of ``@``
+    # skips the ufunc dispatch that dominates the calls of small blocks.)
     m, n = phi.shape
     loss_rate = 0.0
     if m > n:
@@ -122,88 +135,76 @@ def _rowspace_update(p, q, r, phi, y, duration, integrate, symmetrize, track_los
     b = phi.dot(q) - y
     g = phi.dot(u)
     if g.shape[0] == 1:
-        lam, w, bh = g[0], u, b
-    else:
-        lam, v = np.linalg.eigh(0.5 * (g + g.T))
-        w, bh = u.dot(v), b.dot(v)
-    c = integrate(lam.tolist())
+        return g[0].tolist(), u, b, loss_rate
+    a, v = np.linalg.eigh(0.5 * (g + g.T))
+    return a.tolist(), u.dot(v), b.dot(v), loss_rate
+
+
+def _update(p, q, r, w, bh, c, loss, track_loss):
+    # The update of the module docstring in place, plus the residual ``loss``;
+    # returns the new r.  A NaN in c marks a run that blew up.
     if any(map(math.isnan, c)):
-        # Blown up: the state is undefined from here on; NaN marks all of it
-        # (without NumPy's inf * 0 warnings) for the caller to report.
+        # The state is undefined from here on; NaN marks all of it (without
+        # NumPy's inf * 0 warnings) for the caller to report.
         p[:] = math.nan
         q[:] = math.nan
         return math.nan
     wc = w * np.array(c)
     p -= wc.dot(w.T)
-    if symmetrize:
-        # One pass over the result makes both p0 and the update symmetric.
-        p[:] = 0.5 * (p + p.T)
+    # One pass over the result makes both p0 and the update symmetric.
+    p[:] = 0.5 * (p + p.T)
     q -= wc.dot(bh)
-    if wb is not None:
-        wb.append((w, bh))
     if track_loss:
         fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
-        r -= 0.5 * (fit_loss + loss_rate * duration)
+        r -= 0.5 * (fit_loss + loss)
     return r
 
 
-def _rk4_rowspace(
-    p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early, factors=None
-):
-    # A whole RK4 run as one update: RK4 commutes with the orthogonal change
-    # of variables, so c_i is the scalar recurrence of ``_rk4_decay``.
-    # ``factors``, if given, receives (W, bh, c after each step of size h, one
-    # row per step), from which the intermediate states follow.
-    trails = []
-
-    def integrate(lam):
-        if fail_early and h < 0.0:
-            _check_backward(lam, h, nsteps, last)
-        trails.extend(array("d") if factors is not None else None for _ in lam)
-        return [_rk4_decay(a, h, nsteps, last, t) for a, t in zip(lam, trails)]
-
-    wb = [] if factors is not None else None
-    duration = h * (nsteps - 1) + last
-    r = _rowspace_update(p, q, r, phi, y, duration, integrate, symmetrize, track_loss, wb)
-    if wb:
-        running = np.array(trails).T
-        running *= h / 6.0
-        factors.append((*wb[0], running))
-    return r
+def _rk4_integrals(a, h, nsteps, last, fail_early, trail=False):
+    # c_i = _rk4_decay(a_i): RK4 commutes with the orthogonal change of
+    # variables.  With ``trail``, also the running integrals of ``Run``
+    # (None if the run blew up).
+    if fail_early and h < 0.0:
+        _check_backward(a, h, nsteps, last)
+    trails = [array("d") if trail else None for _ in a]
+    c = [_rk4_decay(ai, h, nsteps, last, t) for ai, t in zip(a, trails)]
+    if not trail or any(map(math.isnan, c)):
+        return c, None
+    running = np.array(trails).T
+    running *= h / 6.0
+    return c, running
 
 
-def rk4_dense(
-    p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last=None, fail_early=False
-):
+def rk4_dense(p, q, r, phi, y, h, nsteps, track_loss, last=None, fail_early=False):
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
-    return _rk4_rowspace(p, q, r, phi, y, h, nsteps, symmetrize, track_loss, last, fail_early)
+    a, w, bh, loss_rate = _factors(p, q, phi, y)
+    c, _ = _rk4_integrals(a, h, nsteps, last, fail_early)
+    duration = h * (nsteps - 1) + last
+    return Run(_update(p, q, r, w, bh, c, loss_rate * duration, track_loss), w, bh)
 
 
 def exact_dense(p, q, r, phi, y, duration, track_loss, refusal):
     # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
     # backward run past the blow-up time (as in ``_check_backward``).
-    def integrate(lam):
-        dens = [1.0 + a * duration for a in lam]
-        if not all(den > 0.0 for den in dens):
-            raise NumericsError(refusal)
-        return [duration / den for den in dens]
+    a, w, bh, loss_rate = _factors(p, q, phi, y)
+    dens = [1.0 + ai * duration for ai in a]
+    if not all(den > 0.0 for den in dens):
+        raise NumericsError(refusal)
+    c = [duration / den for den in dens]
+    return Run(_update(p, q, r, w, bh, c, loss_rate * duration, track_loss), w, bh)
 
-    return _rowspace_update(p, q, r, phi, y, duration, integrate, True, track_loss)
 
-
-def rk4_diag(
-    p, q, r, d, h, nsteps, symmetrize, track_loss, last=None, fail_early=False, factors=None
-):
+def rk4_diag(p, q, r, d, h, nsteps, track_loss, last=None, fail_early=False, trail=False):
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("diagonal weights must be >= 0")
+    h, nsteps = float(h), int(nsteps)
+    last = h if last is None else float(last)
     phi = np.diag(np.sqrt(d))[d > 0.0]
-    last = h if last is None else last
-    return _rk4_rowspace(
-        p, q, r, phi, np.zeros(len(phi)), float(h), int(nsteps), symmetrize, track_loss,
-        float(last), fail_early, factors,
-    )
+    a, w, bh, _ = _factors(p, q, phi, np.zeros(len(phi)))
+    c, running = _rk4_integrals(a, h, nsteps, last, fail_early, trail)
+    return Run(_update(p, q, r, w, bh, c, 0.0, track_loss), w, bh, running)
 
 
 def integrate_ko(x0, h, nsteps):

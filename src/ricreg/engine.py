@@ -64,7 +64,6 @@ class IntegrationConfig:
     """
 
     step_h: float = 1e-3
-    symmetrize: bool = True
     track_loss: bool = True
 
     def __post_init__(self):
@@ -157,7 +156,7 @@ def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> Riccati
     q = state.q.copy()
     r = state.r if track else 0.0
     h, nsteps, last = _split_steps(duration, cfg.step_h, sign)
-    r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, cfg.symmetrize, track, last, True)
+    r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, track, last, True).r
     _check_finite(p, q, r, direction)
     return RiccatiState(
         p=p,
@@ -272,14 +271,6 @@ def tune_lambda(
     return integrate_block(state, block, abs(delta), cfg, direction)
 
 
-def _run_diag(p, q, r, d, cfg, direction, track, factors=None) -> float:
-    # Unit-duration diagonal flow, one row-space run of the kernel.
-    h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
-    r = _kernels.rk4_diag(p, q, r, d, h, nsteps, cfg.symmetrize, track, last, True, factors)
-    _check_finite(p, q, r, direction)
-    return r
-
-
 def _trace_points(trace, p0, q0, r0, w, bh, c, gammas, theta0):
     # One trace point per row c_k of c (and of the weights gammas), for the
     # state p0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2.
@@ -306,14 +297,14 @@ def _trace_point(trace, p, q, r, gamma_eff, theta0):
     _trace_points(trace, p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
 
 
-def _run_diag_traced(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) -> float:
-    """Unit-duration diagonal flow, recording one trace point per step.
+def _run_diag(p, q, r, d, cfg, direction, track, trace, gamma_at, gamma_end, theta0) -> float:
+    """Unit-duration diagonal flow, one row-space run of the kernel.
 
-    ``gamma_at(t)`` maps progress values t in [0, 1) through the phase (a
-    column, one per row of the result) to the regularization weights whose
-    exact solution the state then represents.  The phase is one row-space run
-    of the kernel, which also hands back the factors W, bh and the running
-    integrals c_k after every step, so the state after step k is
+    With a ``trace``, one trace point is recorded per step.  ``gamma_at(t)``
+    maps progress values t in [0, 1) through the phase (a column, one per row
+    of the result) to the regularization weights whose exact solution the
+    state then represents.  The run hands back the factors W, bh and the
+    running integrals c_k after every step, so the state after step k is
     P0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2; the
     interior points are evaluated from these in chunks of ``_TRACE_CHUNK``
     steps.  The last point is evaluated from the final state and labelled with
@@ -322,16 +313,20 @@ def _run_diag_traced(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, the
     records nothing.
     """
     p0, q0, r0 = p.copy(), q.copy(), r
-    factors = []
-    r = _run_diag(p, q, r, d, cfg, direction, True, factors)
-    w, bh, c = factors[0]
-    # Progress after each full step, summed in the same order as stepping.
-    t = np.cumsum(np.full(len(c), cfg.step_h))
-    for start in range(0, len(c), _TRACE_CHUNK):
-        rows = slice(start, start + _TRACE_CHUNK)
-        _trace_points(trace, p0, q0, r0, w, bh, c[rows], gamma_at(t[rows, None]), theta0)
-    _trace_point(trace, p, q, r, gamma_end, theta0)
-    return r
+    h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
+    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, track, last, True, trace is not None)
+    _check_finite(p, q, run.r, direction)
+    if trace is not None:
+        # Progress after each full step, summed in the same order as stepping.
+        t = np.cumsum(np.full(len(run.running), cfg.step_h))
+        for start in range(0, len(t), _TRACE_CHUNK):
+            rows = slice(start, start + _TRACE_CHUNK)
+            _trace_points(
+                trace, p0, q0, r0, run.w, run.bh, run.running[rows],
+                gamma_at(t[rows, None]), theta0,
+            )
+        _trace_point(trace, p, q, run.r, gamma_end, theta0)
+    return run.r
 
 
 def tune_gamma(
@@ -372,26 +367,19 @@ def tune_gamma(
 
     if trace is not None:
         _trace_point(trace, p, q, r, gamma0, theta0)
-    if np.any(d_up):
-        if trace is not None:
-            # A following backward phase starts from weights gamma + d_up.
-            up_end = gamma0 + d_up if np.any(d_down) else new_hyper.gamma
-            r = _run_diag_traced(
-                p, q, r, d_up, cfg, "forward", trace,
-                lambda t: gamma0 + t * d_up, up_end, theta0,
+    # A following backward phase starts from weights gamma + d_up; after
+    # progress t of it the state solves the problem with weights
+    # gamma + d_up - t * d_down.
+    up_end = gamma0 + d_up if np.any(d_down) else new_hyper.gamma
+    phases = (
+        (d_up, "forward", lambda t: gamma0 + t * d_up, up_end),
+        (d_down, "backward", lambda t: gamma0 + d_up - t * d_down, new_hyper.gamma),
+    )
+    for inc, direction, gamma_at, gamma_end in phases:
+        if np.any(inc):
+            r = _run_diag(
+                p, q, r, inc, cfg, direction, track, trace, gamma_at, gamma_end, theta0
             )
-        else:
-            r = _run_diag(p, q, r, d_up, cfg, "forward", track)
-    if np.any(d_down):
-        if trace is not None:
-            # After progress t of the backward phase the state solves the
-            # problem with weights gamma + d_up - t * d_down.
-            r = _run_diag_traced(
-                p, q, r, d_down, cfg, "backward", trace,
-                lambda t: gamma0 + d_up - t * d_down, new_hyper.gamma, theta0,
-            )
-        else:
-            r = _run_diag(p, q, r, d_down, cfg, "backward", track)
 
     new_state_ = RiccatiState(
         p=p, q=q, r=r if track else None, elapsed=state.elapsed

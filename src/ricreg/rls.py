@@ -58,7 +58,7 @@ def _exact(state: RiccatiState, block: DataBlock, signed_lam: float, refusal: st
     q = state.q.copy()
     r = _kernels.exact_dense(
         p, q, state.r if track else 0.0, block.phi, block.y, signed_lam, track, refusal
-    )
+    ).r
     return RlsState(
         p=p, q=q, r=r if track else None, elapsed=_new_elapsed(state.elapsed, signed_lam)
     )
@@ -89,12 +89,9 @@ def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     phi, y = weighted_rows(blocks, hyper.n) if rows is None else rows
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
-    r = elapsed = 0.0
+    r = 0.0
     step = max(hyper.n, 1)
     for start in range(0, len(y), step):
         rows = slice(start, start + step)
-        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, True, _ADD_REFUSAL)
-    for block in blocks:
-        if block.lam != 0.0:
-            elapsed = _new_elapsed(elapsed, block.lam)
-    return RlsState(p=p, q=q, r=r, elapsed=elapsed)
+        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, True, _ADD_REFUSAL).r
+    return RlsState(p=p, q=q, r=r, elapsed=float(sum(b.lam for b in blocks)))

@@ -86,7 +86,7 @@ def _assert_close(got, ref):
 
 def _both(p0, q0, r0, phi, y, h, nsteps, track_loss=True):
     p_a, q_a = p0.copy(), q0.copy()
-    r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, True, track_loss)
+    r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, track_loss).r
     p_b, q_b = p0.copy(), q0.copy()
     r_b = _rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
     return (p_a, q_a, r_a), (p_b, q_b, r_b)
@@ -102,7 +102,7 @@ class TestDenseKernel:
             phi = np.ascontiguousarray(rng.normal(size=(m, n)))
             y = np.ascontiguousarray(rng.normal(size=m))
             p_a, q_a = p0.copy(), q0.copy()
-            r_a = _kernels.rk4_dense(p_a, q_a, 0.0, phi, y, 1e-2, 100, True, True)
+            r_a = _kernels.rk4_dense(p_a, q_a, 0.0, phi, y, 1e-2, 100, True).r
             p_b, q_b = p0.copy(), q0.copy()
             r_b = _rk4_dense_numpy(p_b, q_b, 0.0, phi, y, 1e-2, 100, True, True)
             assert np.max(np.abs(p_a - p_b)) < 1e-13
@@ -116,7 +116,7 @@ class TestDenseKernel:
         q = rng.normal(size=n)
         phi = np.ascontiguousarray(rng.normal(size=(1, n)))
         y = np.ascontiguousarray(rng.normal(size=1))
-        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True, True)
+        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True)
         assert np.array_equal(p, p.T)
 
     def test_multi_row_path_keeps_p_exactly_symmetric(self):
@@ -126,7 +126,7 @@ class TestDenseKernel:
         q = rng.normal(size=n)
         phi = np.ascontiguousarray(rng.normal(size=(4, n)))
         y = np.ascontiguousarray(rng.normal(size=4))
-        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True, True)
+        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True)
         assert np.array_equal(p, p.T)
 
     # Multi-row blocks (m > 1) against the per-step reference.
@@ -179,8 +179,20 @@ class TestDenseKernel:
     def test_blow_up_marks_whole_state_nan(self):
         p0, q0, phi, y = self._case(5, 4)
         p, q = p0.copy(), q0.copy()
-        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100, True, False)
+        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100, False).r
         assert np.isnan(p).all() and np.isnan(q).all() and np.isnan(r)
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_exact_run_shares_the_factors(self, m):
+        # The RK4 and the exact (Woodbury) update factor the same state and
+        # block identically; only the integrals c differ.  m = 8 > n = 5
+        # takes the thin-QR path.
+        p0, q0, phi, y = self._case(5, m)
+        dense = _kernels.rk4_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1e-2, 100, True)
+        exact = _kernels.exact_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1.0, True, "refused")
+        assert np.array_equal(dense.w, exact.w)
+        assert np.array_equal(dense.bh, exact.bh)
+        assert dense.running is None and exact.running is None
 
     def test_add_then_remove(self):
         # The edit regime of Gaussian blocks at n = 100, m = 4 from p0 = I:
@@ -190,7 +202,7 @@ class TestDenseKernel:
         added = _both(p0, q0, 0.0, phi, y, 1e-3, 50)
         _assert_close(*added)
         (p_a, q_a, r_a), (p_b, q_b, r_b) = added
-        r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50, True, True)
+        r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50, True).r
         r_b = _rk4_dense_numpy(p_b, q_b, r_b, phi, y, -1e-3, 50, True, True)
         got, ref = (p_a, q_a, r_a), (p_b, q_b, r_b)
         _assert_close(got, ref)
@@ -249,7 +261,7 @@ class TestDiagKernel:
         q0 = rng.normal(size=n)
         d = np.ascontiguousarray(rng.uniform(0.0, 1.0, size=n))
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, 0.0, d, 1e-2, 100, True, True)
+        r_a = _kernels.rk4_diag(p_a, q_a, 0.0, d, 1e-2, 100, True).r
         p_b, q_b = p0.copy(), q0.copy()
         r_b = _rk4_diag_numpy(p_b, q_b, 0.0, d, 1e-2, 100, True, True)
         assert np.max(np.abs(p_a - p_b)) < 1e-13
@@ -272,7 +284,7 @@ class TestDiagKernel:
     @staticmethod
     def _both(p0, q0, r0, d, h, nsteps, track_loss=True):
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, r0, d, h, nsteps, True, track_loss)
+        r_a = _kernels.rk4_diag(p_a, q_a, r0, d, h, nsteps, track_loss).r
         p_b, q_b = p0.copy(), q0.copy()
         r_b = _rk4_diag_numpy(p_b, q_b, r0, d, h, nsteps, True, track_loss)
         return (p_a, q_a, r_a), (p_b, q_b, r_b)
@@ -306,27 +318,27 @@ class TestDiagKernel:
     def test_keeps_p_exactly_symmetric(self, zeros):
         p0, q0, d = self._case(6, zeros=zeros)
         p = p0 + 1e-3 * np.triu(np.ones_like(p0), 1)  # start from an asymmetric p
-        _kernels.rk4_diag(p, q0.copy(), 0.0, d, 1e-2, 50, True, True)
+        _kernels.rk4_diag(p, q0.copy(), 0.0, d, 1e-2, 50, True)
         assert np.array_equal(p, p.T)
 
     def test_zero_weights_leave_state_put(self):
         p0, q0, _ = self._case(6)
         p, q = p0.copy(), q0.copy()
-        assert _kernels.rk4_diag(p, q, 0.5, np.zeros(6), 1e-2, 10, True, True) == 0.5
+        assert _kernels.rk4_diag(p, q, 0.5, np.zeros(6), 1e-2, 10, True).r == 0.5
         assert np.array_equal(p, p0) and np.array_equal(q, q0)
 
     def test_rejects_negative_weights(self):
         p0, q0, d = self._case(6)
         d[0] = -0.1
         with pytest.raises(ValueError, match="must be >= 0"):
-            _kernels.rk4_diag(p0.copy(), q0.copy(), 0.0, d, 1e-2, 10, True, True)
+            _kernels.rk4_diag(p0.copy(), q0.copy(), 0.0, d, 1e-2, 10, True)
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_final_step_of_its_own_size(self, h):
         # nsteps - 1 steps of size h and one of size last, in one call.
         p0, q0, d = self._case(6, zeros=1, scale=0.5)
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, 0.5, d, h, 40, True, True, 0.3 * h)
+        r_a = _kernels.rk4_diag(p_a, q_a, 0.5, d, h, 40, True, 0.3 * h).r
         p_b, q_b = p0.copy(), q0.copy()
         r_b = _rk4_diag_numpy(p_b, q_b, 0.5, d, h, 39, True, True)
         r_b = _rk4_diag_numpy(p_b, q_b, r_b, d, 0.3 * h, 1, True, True)
@@ -335,9 +347,8 @@ class TestDiagKernel:
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_factors_give_every_intermediate_state(self, h):
         p0, q0, d = self._case(6, zeros=2, scale=0.5)
-        factors = []
-        _kernels.rk4_diag(p0.copy(), q0.copy(), 0.5, d, h, 31, True, True, None, False, factors)
-        (w, bh, c), = factors
+        run = _kernels.rk4_diag(p0.copy(), q0.copy(), 0.5, d, h, 31, True, trail=True)
+        w, bh, c = run.w, run.bh, run.running
         assert c.shape == (30, 4)
         p_b, q_b, r_b = p0.copy(), q0.copy(), 0.5
         for c_k in c:
