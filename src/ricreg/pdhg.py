@@ -12,8 +12,15 @@ by alternating an exact quadratic primal solve with a dual prox step:
 
 The primal step is the ridge problem with uniform weight 1/s_t and a moving
 bias, so its flow state is integrated once up front and every iterate after
-that is a pure bias shift (two matrix-vector products).  Step sizes must
-satisfy s_t * s_w < 1.
+that is a pure bias shift.  Step sizes must satisfy s_t * s_w < 1.
+
+One iteration costs one n x n matrix-vector product and about 11 in-place
+length-n ufunc calls, and allocates nothing: the iterates are written into
+two preallocated (chunk + 1) x n buffers.  Convergence is checked once per
+chunk, over all of its residuals at once, so a solve may compute up to 16
+iterations, or about 25% more on long solves, past the converged one and
+discard them.  The results (theta, w, theta_bar, the residual history and
+the iteration count) are bit for bit those of checking after every step.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ __all__ = [
 ]
 
 _PROX_KINDS = ("weighted_l1", "weighted_l2_squared")
+
+# Chunk lengths: _FIRST_CHUNK steps, or a quarter of the steps done so far,
+# up to _CHUNK.
+_FIRST_CHUNK = 16
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,16 @@ def prox_dual(spec: ProxSpec, v, sigma_w: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise ValueError(f"v has shape {v.shape}, expected ({spec.n},)")
+    (f1, a1), (f2, a2) = _prox_ops(spec, sigma_w)
+    return f2(f1(v, a1), a2)
+
+
+def _prox_ops(spec: ProxSpec, sigma_w: float):
+    """The prox of R* as two ufuncs with their second operands: v -> f2(f1(v, a1), a2)."""
     if spec.kind == "weighted_l1":
         # Same values as np.clip, NaN and -0.0 included, at less dispatch.
-        return np.minimum(np.maximum(v, -spec.weights), spec.weights)
-    return v * spec.weights / (spec.weights + float(sigma_w))
+        return (np.maximum, -spec.weights), (np.minimum, spec.weights)
+    return (np.multiply, spec.weights), (np.divide, spec.weights + float(sigma_w))
 
 
 def regularizer_value(spec: ProxSpec, theta) -> float:
@@ -171,33 +189,8 @@ def pdhg_solve(
         raise ValueError("inner_state dimension mismatch")
     p, q = inner_state.p, inner_state.q
 
-    sigma_theta, sigma_w, tol = cfg.sigma_theta, cfg.sigma_w, cfg.tol
-    theta = np.zeros(n)
-    w = np.zeros(n)
-    theta_bar = theta
-    best_theta, best_residual = theta, math.inf
-    residuals = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        bias = theta - sigma_theta * (w - x)
-        # Minimizer of the ridge subproblem: P (Gamma bias) + q with
-        # Gamma = I / sigma_theta; only the evaluation point moves.
-        theta_new = p.dot(bias / sigma_theta) + q
-        theta_bar = 2.0 * theta_new - theta
-        w = prox_dual(spec, w + sigma_w * theta_bar, sigma_w)
-        residual = float(np.abs(theta_new - theta).max()) if n else 0.0
-        theta = theta_new
-        residuals.append(residual)
-        if residual < best_residual:
-            best_theta, best_residual = theta, residual
-        if residual <= tol:
-            converged = True
-            break
-
-    if not converged:
-        theta = best_theta
-    final_residual = residuals[-1] if converged else best_residual
+    theta, w, theta_bar, history, residual, converged = _iterate(p, q, spec, cfg)
+    iterations = history.shape[0]
 
     data_fit = data_fit_value(theta, blocks)
     # Fold the linear term into reg_value so total = data_fit + reg_value.
@@ -220,8 +213,85 @@ def pdhg_solve(
         solution=solution,
         state=state,
         iterations=iterations,
-        residual=final_residual,
+        residual=residual,
         converged=converged,
         inner_state=inner_state,
-        residual_history=np.asarray(residuals),
+        residual_history=history,
     )
+
+
+def _iterate(p, q, spec: ProxSpec, cfg: PdhgConfig):
+    """The iteration from theta = w = 0 until the primal update is at most
+    ``cfg.tol`` in max norm, or for ``cfg.max_iters`` steps.
+
+    Returns theta, w, theta_bar, the residual history, the reported residual
+    and whether it converged.  Without convergence, theta and the residual are
+    those of the lowest-residual iterate (the first on ties, never a NaN one),
+    while w and theta_bar are the last.
+
+    The steps run in place in two (chunk + 1) x n buffers of theta and w
+    iterates, and the residuals are taken once per chunk; steps past the one
+    that converged are discarded.
+    """
+    n = q.shape[0]
+    tol, x = cfg.tol, cfg.x_point
+    # The scalars as 0-d arrays: the same products, at less dispatch per call.
+    sigma_theta, sigma_w, two = (np.array(v) for v in (cfg.sigma_theta, cfg.sigma_w, 2.0))
+    (f1, a1), (f2, a2) = _prox_ops(spec, cfg.sigma_w)
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+    th = np.zeros((min(_CHUNK, cfg.max_iters) + 1, n))
+    ws = np.zeros_like(th)
+    bias = np.empty(n)
+    theta_bar = np.empty(n)
+    # (theta, w, next theta, next w) row views, made as the chunks grow.
+    rows = []
+    history = []
+    best_theta, best_residual = np.zeros(n), math.inf
+    converged = False
+    done = 0
+    while not converged and done < cfg.max_iters:
+        if done:  # the last iterate of the previous chunk starts this one
+            th[0], ws[0] = th[k], ws[k]
+        k = min(_CHUNK, cfg.max_iters - done, max(_FIRST_CHUNK, done // 4))
+        if k > len(rows):
+            j = len(rows)
+            rows += zip(th[j:k], ws[j:k], th[j + 1 : k + 1], ws[j + 1 : k + 1])
+        for t, w, t_new, w_new in rows[:k]:
+            # bias = theta - sigma_theta (w - x); w - 0 is w to the last bit.
+            if x is None:
+                mul(sigma_theta, w, out=bias)
+            else:
+                sub(w, x, out=bias)
+                mul(sigma_theta, bias, out=bias)
+            sub(t, bias, out=bias)
+            # Minimizer of the ridge subproblem: P (Gamma bias) + q with
+            # Gamma = I / sigma_theta; only the evaluation point moves.
+            div(bias, sigma_theta, out=bias)
+            p.dot(bias, out=t_new)
+            add(t_new, q, out=t_new)
+            mul(two, t_new, out=theta_bar)
+            sub(theta_bar, t, out=theta_bar)
+            mul(sigma_w, theta_bar, out=w_new)
+            add(w, w_new, out=w_new)
+            f1(w_new, a1, out=w_new)
+            f2(w_new, a2, out=w_new)
+        # initial=0.0 leaves every |.| max as it is and gives 0 when n = 0.
+        residuals = np.abs(th[1 : k + 1] - th[:k]).max(axis=1, initial=0.0)
+        hit = np.flatnonzero(residuals <= tol)
+        if hit.size:
+            k = int(hit[0]) + 1
+            residuals = residuals[:k]
+            converged = True
+        else:
+            finite = np.where(np.isnan(residuals), math.inf, residuals)
+            j = int(np.argmin(finite))
+            if finite[j] < best_residual:
+                best_theta, best_residual = th[j + 1].copy(), float(finite[j])
+        history.append(residuals)
+        done += k
+
+    history = np.concatenate(history)
+    theta_bar = 2.0 * th[k] - th[k - 1]
+    if converged:
+        return th[k].copy(), ws[k].copy(), theta_bar, history, float(history[-1]), True
+    return best_theta, ws[k].copy(), theta_bar, history, best_residual, False

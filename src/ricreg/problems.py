@@ -9,12 +9,13 @@ scale is zero, keeping sample locations independent of the noise setting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .bases import feature_matrix, feature_row, get_basis, residual_matrix
+from .bases import feature_matrix, get_basis, residual_matrix
 from .model import DataBlock
 from .rng import Xoshiro256pp
 
@@ -211,25 +212,34 @@ def simulate_quadratic_system(coeffs, x0, horizon: float, h: float) -> tuple[np.
     """RK4-integrate dx_i/dt = coeffs[i] . phi(x) for the quadratic 3-D basis.
 
     Returns (times, states); used to replay an identified system against the
-    reference trajectory.
+    reference trajectory.  The right-hand side is summed in Python floats
+    straight from ``coeffs``, term by term in the basis order, with no feature
+    row built per stage.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (3, 10):
         raise ValueError(f"coeffs must be 3 x 10, got {coeffs.shape}")
-    basis = get_basis("quad-monomial-3d")
+    rows = coeffs.tolist()
+    h = float(h)
+    half, sixth = 0.5 * h, h / 6.0
 
-    def rhs(x):
-        return coeffs @ feature_row(basis, x)
+    def rhs(x1, x2, x3):
+        # The quad-monomial-3d basis: 1, x1, x2, x3, x1^2, x2^2, x3^2, x1 x2, x2 x3, x1 x3.
+        phi = (1.0, x1, x2, x3, x1 * x1, x2 * x2, x3 * x3, x1 * x2, x2 * x3, x1 * x3)
+        return [sum(map(operator.mul, row, phi)) for row in rows]
 
     nsteps = int(round(horizon / h))
     out = np.empty((nsteps + 1, 3))
-    out[0] = x = np.asarray(x0, dtype=float)
+    out[0] = x = np.asarray(x0, dtype=float).tolist()
     for i in range(nsteps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(*x)
+        k2 = rhs(*[xi + half * ki for xi, ki in zip(x, k1)])
+        k3 = rhs(*[xi + half * ki for xi, ki in zip(x, k2)])
+        k4 = rhs(*[xi + h * ki for xi, ki in zip(x, k3)])
+        x = [
+            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
         out[i + 1] = x
     return np.arange(nsteps + 1) * h, out
 

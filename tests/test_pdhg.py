@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import minimize_scalar
 
 from ricreg import (
@@ -10,6 +12,7 @@ from ricreg import (
     IntegrationConfig,
     PdhgConfig,
     ProxSpec,
+    RiccatiState,
     extract_solution,
     fit,
     pdhg_solve,
@@ -69,7 +72,7 @@ def _reference_iterations(n, spec, cfg, p, q):
             break
     if not converged:
         theta = best_theta
-    return theta, w, iterations, np.asarray(residuals)
+    return theta, w, theta_bar, iterations, np.asarray(residuals)
 
 
 class TestProxDual:
@@ -206,14 +209,22 @@ class TestPdhgSolve:
 
 class TestPdhgMatchesReferenceIterations:
     @staticmethod
-    def _check(n, blocks, spec, cfg, riccati_cfg):
-        res = pdhg_solve(n, blocks, spec, cfg, riccati_cfg)
+    def _check(n, blocks, spec, cfg, riccati_cfg, inner_state=None):
+        res = pdhg_solve(n, blocks, spec, cfg, riccati_cfg, inner_state)
         p, q = res.inner_state.p, res.inner_state.q
-        theta, w, iterations, history = _reference_iterations(n, spec, cfg, p, q)
+        theta, w, theta_bar, iterations, history = _reference_iterations(n, spec, cfg, p, q)
         assert res.iterations == iterations
-        assert np.array_equal(res.solution.theta_star, theta)
-        assert np.array_equal(res.state.w, w)
-        assert np.array_equal(res.residual_history, history)
+        for got, want in (
+            (res.solution.theta_star, theta),
+            (res.state.w, w),
+            (res.state.theta_bar, theta_bar),
+            (res.residual_history, history),
+        ):
+            # Bit for bit: NaN equals NaN, and -0.0 differs from 0.0.
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        finite = history[~np.isnan(history)]
+        assert res.residual == (history[-1] if res.converged else np.min(finite, initial=math.inf))
+        return res
 
     def test_ko_equation(self):
         from ricreg.problems import gen_ko
@@ -234,6 +245,83 @@ class TestPdhgMatchesReferenceIterations:
         rng = np.random.default_rng(7)
         n, blocks, spec = rand_lasso(rng)
         self._check(n, blocks, spec, PdhgConfig(max_iters=25), CFG)
+
+    # Step counts around the end of the first chunk (16 steps) and of the
+    # buffer (256 steps); the instance converges after 340 iterations, inside
+    # a chunk that runs to 378.
+    @pytest.mark.parametrize("max_iters", [1, 2, 15, 16, 17, 255, 256, 257, 100000])
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_chunk_edges(self, max_iters, with_x):
+        rng = np.random.default_rng(7)
+        n, blocks, spec = rand_lasso(rng)
+        x_point = np.linspace(-0.05, 0.05, n) if with_x else None
+        res = self._check(
+            n, blocks, spec, PdhgConfig(max_iters=max_iters, x_point=x_point), CFG
+        )
+        assert res.converged == (max_iters == 100000)
+
+    def test_converges_just_past_the_buffer_length(self):
+        rng = np.random.default_rng(8)
+        n, blocks, spec = rand_lasso(rng)
+        res = self._check(n, blocks, spec, PdhgConfig(), CFG)
+        assert res.converged and 257 < res.iterations < 300
+
+    def test_converges_on_the_first_iteration(self):
+        # Zero targets give q = 0, so the first primal step is exactly zero.
+        blocks = [DataBlock(phi=[[1.0, 2.0, -1.0]], y=[0.0])]
+        spec = ProxSpec(kind="weighted_l1", weights=[0.1, 0.2, 0.3])
+        res = self._check(3, blocks, spec, PdhgConfig(), CFG)
+        assert res.converged and res.iterations == 1 and res.residual == 0.0
+
+    def test_best_iterate_in_an_earlier_chunk(self):
+        # With P = 2 I the primal step doubles the bias: the iteration
+        # diverges, so the best iterate is the first one and lies many chunks
+        # before the last.
+        inner = RiccatiState(p=2.0 * np.eye(3), q=np.array([1.0, -0.5, 0.25]), r=None)
+        spec = ProxSpec(kind="weighted_l1", weights=[0.1, 0.2, 0.3])
+        res = self._check(3, [], spec, PdhgConfig(max_iters=150), CFG, inner)
+        assert not res.converged
+        assert res.residual == res.residual_history[0] < res.residual_history[-1]
+
+    @pytest.mark.parametrize("kind", ["weighted_l1", "weighted_l2_squared"])
+    @pytest.mark.parametrize("scale", [50.0, 1e30])
+    def test_nan_residuals_never_become_best(self, kind, scale):
+        # With P = scale I the iterates overflow to inf and then NaN: after
+        # about 150 iterations at 50, within the first chunk at 1e30.
+        inner = RiccatiState(p=scale * np.eye(3), q=np.ones(3), r=None)
+        spec = ProxSpec(kind=kind, weights=[0.1, 0.2, 0.3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = self._check(3, [], spec, PdhgConfig(max_iters=300), CFG, inner)
+        assert np.isnan(res.residual_history).any()
+        assert res.residual == res.residual_history[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    kind=hst.sampled_from(["weighted_l1", "weighted_l2_squared"]),
+    with_x=hst.booleans(),
+    max_iters=hst.integers(1, 600),
+)
+def test_random_instances_match_reference_and_stationarity(seed, kind, with_x, max_iters):
+    rng = np.random.default_rng(seed)
+    n, blocks, _ = rand_lasso(rng)
+    spec = ProxSpec(kind=kind, weights=rng.uniform(0.05, 0.5, size=n))
+    x_point = rng.normal(scale=0.1, size=n) if with_x else None
+    sigma_theta = float(rng.uniform(0.2, 1.0))
+    sigma_w = float(rng.uniform(0.1, 0.9)) / sigma_theta
+    tol = 1e-10
+    cfg = PdhgConfig(
+        sigma_theta=sigma_theta, sigma_w=sigma_w, max_iters=max_iters, tol=tol, x_point=x_point
+    )
+    res = TestPdhgMatchesReferenceIterations._check(n, blocks, spec, cfg, CFG)
+    if res.converged and kind == "weighted_l1":
+        # The primal step gives grad data(theta) - x = -w - (theta - theta_prev)
+        # / sigma_theta with |w| <= weights, so the gradient exceeds the
+        # weights by at most tol / sigma_theta <= 5 tol, plus the flow's error.
+        x = np.zeros(n) if x_point is None else x_point
+        g = loss_gradient(res.solution.theta_star, blocks) - x
+        assert np.all(np.abs(g) <= spec.weights + 10 * tol)
 
 
 class TestPdhgOptimality:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ricreg import Hyperparams, solve_direct
+from ricreg.bases import feature_row, get_basis
 from ricreg.problems import (
     KO_INITIAL,
     gen_ko,
@@ -182,6 +183,26 @@ class TestGenKo:
         ref = ko.trajectory_on(times)
         for i in range(3):
             assert relative_l2(sim[:, i], ref[:, i]) < 1e-5
+
+    def test_replay_right_hand_side_is_the_basis_expansion(self):
+        # Reference: the array RK4 step with rhs(x) = coeffs @ feature_row(x).
+        # The replay sums the same terms in another order, so the two agree
+        # to rounding.
+        coeffs = np.random.default_rng(11).normal(size=(3, 10))
+        basis = get_basis("quad-monomial-3d")
+        h = 1e-3
+        x = np.array([0.3, -0.2, 0.5])
+        expected = [x]
+        for _ in range(50):
+            k1 = coeffs @ feature_row(basis, x)
+            k2 = coeffs @ feature_row(basis, x + 0.5 * h * k1)
+            k3 = coeffs @ feature_row(basis, x + 0.5 * h * k2)
+            k4 = coeffs @ feature_row(basis, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(x)
+        times, sim = simulate_quadratic_system(coeffs, expected[0], 50 * h, h)
+        np.testing.assert_array_equal(times, np.arange(51) * h)
+        np.testing.assert_allclose(sim, np.array(expected), rtol=1e-13, atol=1e-15)
 
 
 class TestMetrics:
