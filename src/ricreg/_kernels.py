@@ -31,9 +31,10 @@ and, for a diagonal quadratic term with weights ``d`` (n):
 Each RK4 kernel advances (p, q, r) in place by ``nsteps`` classical 4-stage
 Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
 given.  Every kernel returns a ``Run``: the updated r and the factors W and
-bh.  With ``fail_early`` a backward run that RK4 cannot follow raises
-``NumericsError`` before any step is taken.  P always leaves a kernel exactly
-symmetric.
+bh.  Every run advances r (m more products bh_i^2 c_i); the engine drops it
+for a state without the loss accumulator.  With ``fail_early`` a backward
+run that RK4 cannot follow raises ``NumericsError`` before any step is taken.
+P always leaves a kernel exactly symmetric.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _factors(p, q, phi, y):
     return a.tolist(), u.dot(v), b.dot(v), loss_rate
 
 
-def _update(p, q, r, w, bh, c, loss, track_loss):
+def _update(p, q, r, w, bh, c, loss):
     # The update of the module docstring in place, plus the residual ``loss``;
     # returns the new r.  A NaN in c marks a run that blew up.
     if any(map(math.isnan, c)):
@@ -154,10 +155,8 @@ def _update(p, q, r, w, bh, c, loss, track_loss):
     # One pass over the result makes both p0 and the update symmetric.
     p[:] = 0.5 * (p + p.T)
     q -= wc.dot(bh)
-    if track_loss:
-        fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
-        r -= 0.5 * (fit_loss + loss)
-    return r
+    fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
+    return r - 0.5 * (fit_loss + loss)
 
 
 def _rk4_integrals(a, h, nsteps, last, fail_early, trail=False):
@@ -175,16 +174,16 @@ def _rk4_integrals(a, h, nsteps, last, fail_early, trail=False):
     return c, running
 
 
-def rk4_dense(p, q, r, phi, y, h, nsteps, track_loss, last=None, fail_early=False):
+def rk4_dense(p, q, r, phi, y, h, nsteps, last=None, fail_early=False):
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
     a, w, bh, loss_rate = _factors(p, q, phi, y)
     c, _ = _rk4_integrals(a, h, nsteps, last, fail_early)
     duration = h * (nsteps - 1) + last
-    return Run(_update(p, q, r, w, bh, c, loss_rate * duration, track_loss), w, bh)
+    return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh)
 
 
-def exact_dense(p, q, r, phi, y, duration, track_loss, refusal):
+def exact_dense(p, q, r, phi, y, duration, refusal):
     # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
     # backward run past the blow-up time (as in ``_check_backward``).
     a, w, bh, loss_rate = _factors(p, q, phi, y)
@@ -192,10 +191,10 @@ def exact_dense(p, q, r, phi, y, duration, track_loss, refusal):
     if not all(den > 0.0 for den in dens):
         raise NumericsError(refusal)
     c = [duration / den for den in dens]
-    return Run(_update(p, q, r, w, bh, c, loss_rate * duration, track_loss), w, bh)
+    return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh)
 
 
-def rk4_diag(p, q, r, d, h, nsteps, track_loss, last=None, fail_early=False, trail=False):
+def rk4_diag(p, q, r, d, h, nsteps, last=None, fail_early=False, trail=False):
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("diagonal weights must be >= 0")
@@ -204,7 +203,7 @@ def rk4_diag(p, q, r, d, h, nsteps, track_loss, last=None, fail_early=False, tra
     phi = np.diag(np.sqrt(d))[d > 0.0]
     a, w, bh, _ = _factors(p, q, phi, np.zeros(len(phi)))
     c, running = _rk4_integrals(a, h, nsteps, last, fail_early, trail)
-    return Run(_update(p, q, r, w, bh, c, 0.0, track_loss), w, bh, running)
+    return Run(_update(p, q, r, w, bh, c, 0.0), w, bh, running)
 
 
 def integrate_ko(x0, h, nsteps):

@@ -26,7 +26,6 @@ from .model import (
     Hyperparams,
     NumericsError,
     RiccatiState,
-    data_fit_value,
     read_blocks,
     read_checkpoint,
     weighted_rows,
@@ -110,15 +109,11 @@ def _exact_state(hyper: Hyperparams, blocks, stream) -> RiccatiState:
     p = lower_inv.T @ lower_inv
     p = 0.5 * (p + p.T)
     q = p @ (rhs - hyper.evaluation_point())
-    theta = p @ rhs
-    data_fit = data_fit_value(theta, stream)
-    diff = theta - hyper.theta0
-    total = data_fit + 0.5 * float(hyper.gamma @ (diff * diff))
-    x = hyper.evaluation_point()
-    # Invert the loss identity total = -(x'Px/2 + q'x + r) + theta0'Gamma theta0/2.
-    r = -total + 0.5 * float(hyper.theta0 @ x) - 0.5 * float(x @ (p @ x)) - float(q @ x)
-    elapsed = float(sum(b.lam for b in blocks))
-    return RiccatiState(p=p, q=q, r=r, elapsed=elapsed)
+    state = RiccatiState(p=p, q=q, r=0.0, elapsed=float(sum(b.lam for b in blocks)))
+    total = engine.extract_solution(state, hyper, stream).total_loss
+    # At r = 0 the loss identity of ``loss_from_state`` overshoots the total by r.
+    r = engine.loss_from_state(state, hyper) - total
+    return RiccatiState(p=p, q=q, r=r, elapsed=state.elapsed)
 
 
 # -- gen ----------------------------------------------------------------------
@@ -466,9 +461,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ricreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, out=True, step=True):
+    def common(p, checkpoint=False, out=True, step=True, seed=False):
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (u64)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed (u64)")
         if step:
             p.add_argument("--step-size", type=float, default=1e-3,
                            help="RK4 step size h")
@@ -482,11 +478,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a benchmark dataset")
     gsub = p.add_subparsers(dest="problem", required=True)
-    g = common(gsub.add_parser("sin10x"), out="required", step=False)
+    g = common(gsub.add_parser("sin10x"), out="required", step=False, seed=True)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--noise", type=float, default=1.0)
     g.set_defaults(func=cmd_gen)
-    g = common(gsub.add_parser("reaction-diffusion"), out="required", step=False)
+    g = common(gsub.add_parser("reaction-diffusion"), out="required", step=False,
+               seed=True)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--noise", type=float, default=0.1)
     g.add_argument("--lambda-b", type=float, default=1.0)
@@ -552,7 +549,8 @@ def build_parser() -> _Parser:
     p.add_argument("--truth-column", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = common(sub.add_parser("bench", help="per-update timing across dataset sizes"))
+    p = common(sub.add_parser("bench", help="per-update timing across dataset sizes"),
+               seed=True)
     p.add_argument("--method", default="riccati,rls,lsq",
                    help="comma list of riccati|rls|lsq")
     p.add_argument("--n", type=int, default=10)

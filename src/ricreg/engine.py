@@ -58,13 +58,11 @@ class IntegrationConfig:
 
     ``step_h`` is never adapted automatically; callers pick it (and may change
     it between operations, e.g. coarse-to-fine schedules for weight sweeps).
-    ``track_loss`` decides whether ``fit`` starts a state with the scalar loss
-    accumulator; once a state has (or lacks) one, later operations follow the
-    state.
+    Whether the loss accumulator r is integrated follows the state: a state
+    built with ``r=None`` stays without one through every operation.
     """
 
     step_h: float = 1e-3
-    track_loss: bool = True
 
     def __post_init__(self):
         if not (self.step_h > 0.0) or not math.isfinite(self.step_h):
@@ -147,23 +145,28 @@ def _split_steps(duration: float, h: float, sign: float) -> tuple[float, int, fl
     return sign * h, k, sign * (duration - (k - 1) * h)
 
 
-def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
-    # Whether the loss accumulator is integrated follows the state itself;
-    # cfg.track_loss only decides whether `fit` creates one.
-    sign = _sign_of(direction)
-    track = state.r is not None
+def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState):
+    """The state that ``run(p, q, r)`` leads to: ``run`` advances copies of
+    ``state.p`` and ``state.q`` in place, from the state's r (0.0 when it has
+    none), and returns the new r.  r stays None if the state had none, and
+    elapsed advances by ``signed_duration``."""
     p = state.p.copy()
     q = state.q.copy()
-    r = state.r if track else 0.0
+    r = run(p, q, 0.0 if state.r is None else state.r)
+    r = None if state.r is None else r
+    return cls(p=p, q=q, r=r, elapsed=_new_elapsed(state.elapsed, signed_duration))
+
+
+def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
+    sign = _sign_of(direction)
     h, nsteps, last = _split_steps(duration, cfg.step_h, sign)
-    r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, track, last, True).r
-    _check_finite(p, q, r, direction)
-    return RiccatiState(
-        p=p,
-        q=q,
-        r=r if track else None,
-        elapsed=_new_elapsed(state.elapsed, sign * duration),
-    )
+
+    def run(p, q, r):
+        r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, last, True).r
+        _check_finite(p, q, r, direction)
+        return r
+
+    return _advance(state, sign * duration, run)
 
 
 def rk4_step(
@@ -193,13 +196,15 @@ def integrate_block(
 
 
 def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
-    """Integrate all blocks in order from the fresh state p = diag(1/gamma)."""
+    """Integrate all blocks in order from the fresh state p = diag(1/gamma),
+    q = 0, r = 0.  Every block is checked before the first is integrated."""
     blocks = list(blocks)
     for block in blocks:
         validate_block(block, hyper.n)
-    state = new_state(hyper, track_loss=cfg.track_loss)
+    state = new_state(hyper)
     for block in blocks:
-        state = integrate_block(state, block, block.lam, cfg, "forward")
+        if block.lam != 0.0:
+            state = _run_dense(state, block.phi, block.y, block.lam, cfg, "forward")
     return state
 
 
@@ -297,7 +302,7 @@ def _trace_point(trace, p, q, r, gamma_eff, theta0):
     _trace_points(trace, p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
 
 
-def _run_diag(p, q, r, d, cfg, direction, track, trace, gamma_at, gamma_end, theta0) -> float:
+def _run_diag(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) -> float:
     """Unit-duration diagonal flow, one row-space run of the kernel.
 
     With a ``trace``, one trace point is recorded per step.  ``gamma_at(t)``
@@ -314,7 +319,7 @@ def _run_diag(p, q, r, d, cfg, direction, track, trace, gamma_at, gamma_end, the
     """
     p0, q0, r0 = p.copy(), q.copy(), r
     h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
-    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, track, last, True, trace is not None)
+    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, last, True, trace is not None)
     _check_finite(p, q, run.r, direction)
     if trace is not None:
         # Progress after each full step, summed in the same order as stepping.
@@ -358,15 +363,8 @@ def tune_gamma(
             _trace_point(trace, state.p, state.q, state.r, hyper.gamma, hyper.theta0)
         return state, new_hyper
 
-    track = state.r is not None
-    p = state.p.copy()
-    q = state.q.copy()
-    r = state.r if track else 0.0
     gamma0 = hyper.gamma
     theta0 = hyper.theta0
-
-    if trace is not None:
-        _trace_point(trace, p, q, r, gamma0, theta0)
     # A following backward phase starts from weights gamma + d_up; after
     # progress t of it the state solves the problem with weights
     # gamma + d_up - t * d_down.
@@ -375,16 +373,16 @@ def tune_gamma(
         (d_up, "forward", lambda t: gamma0 + t * d_up, up_end),
         (d_down, "backward", lambda t: gamma0 + d_up - t * d_down, new_hyper.gamma),
     )
-    for inc, direction, gamma_at, gamma_end in phases:
-        if np.any(inc):
-            r = _run_diag(
-                p, q, r, inc, cfg, direction, track, trace, gamma_at, gamma_end, theta0
-            )
 
-    new_state_ = RiccatiState(
-        p=p, q=q, r=r if track else None, elapsed=state.elapsed
-    )
-    return new_state_, new_hyper
+    def run(p, q, r):
+        if trace is not None:
+            _trace_point(trace, p, q, r, gamma0, theta0)
+        for inc, direction, gamma_at, gamma_end in phases:
+            if np.any(inc):
+                r = _run_diag(p, q, r, inc, cfg, direction, trace, gamma_at, gamma_end, theta0)
+        return r
+
+    return _advance(state, 0.0, run), new_hyper
 
 
 def shift_bias(state: RiccatiState, hyper: Hyperparams, new_theta0) -> ModelSolution:

@@ -221,11 +221,11 @@ class RiccatiState:
             return False
 
 
-def new_state(hyper: Hyperparams, track_loss: bool = True) -> RiccatiState:
+def new_state(hyper: Hyperparams) -> RiccatiState:
     """Fresh state: p = diag(1/gamma), q = 0, r = 0, elapsed = 0."""
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
-    return RiccatiState(p=p, q=q, r=0.0 if track_loss else None, elapsed=0.0)
+    return RiccatiState(p=p, q=q, r=0.0, elapsed=0.0)
 
 
 @dataclass(frozen=True)

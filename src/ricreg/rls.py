@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .engine import _new_elapsed
+from .engine import _advance
 from .model import DataBlock, Hyperparams, RiccatiState, validate_block, weighted_rows
 
 __all__ = ["RlsState", "rls_add", "rls_remove", "rls_fit"]
@@ -53,15 +53,11 @@ def _exact(state: RiccatiState, block: DataBlock, signed_lam: float, refusal: st
     validate_block(block, state.n)
     if block.lam == 0.0:
         return state
-    track = state.r is not None
-    p = state.p.copy()
-    q = state.q.copy()
-    r = _kernels.exact_dense(
-        p, q, state.r if track else 0.0, block.phi, block.y, signed_lam, track, refusal
-    ).r
-    return RlsState(
-        p=p, q=q, r=r if track else None, elapsed=_new_elapsed(state.elapsed, signed_lam)
-    )
+
+    def run(p, q, r):
+        return _kernels.exact_dense(p, q, r, block.phi, block.y, signed_lam, refusal).r
+
+    return _advance(state, signed_lam, run, RlsState)
 
 
 def rls_add(state: RiccatiState, block: DataBlock) -> RlsState:
@@ -93,5 +89,5 @@ def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     step = max(hyper.n, 1)
     for start in range(0, len(y), step):
         rows = slice(start, start + step)
-        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, True, _ADD_REFUSAL).r
+        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, _ADD_REFUSAL).r
     return RlsState(p=p, q=q, r=r, elapsed=float(sum(b.lam for b in blocks)))

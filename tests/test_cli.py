@@ -587,6 +587,14 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    def test_seed_is_refused_where_nothing_reads_it(self, sin_data, tmp_path, capsys):
+        # --seed is taken by gen sin10x, gen reaction-diffusion and bench only.
+        argv = ["fit", str(sin_data[0]), "--gamma", "100", "--out", str(tmp_path / "ck.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "0"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """``main`` parses with one parser per process; each call must behave as

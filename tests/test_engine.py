@@ -9,6 +9,7 @@ from ricreg import (
     IntegrationConfig,
     NumericsError,
     ParetoTrace,
+    RiccatiState,
     add_block,
     extract_solution,
     fit,
@@ -17,6 +18,8 @@ from ricreg import (
     new_state,
     remove_block,
     rk4_step,
+    rls_add,
+    rls_remove,
     shift_bias,
     solve_direct,
     tune_gamma,
@@ -49,6 +52,11 @@ def rand_problem(rng, n=5, n_blocks=6, m=1, lam=1.0):
 
 
 CFG = IntegrationConfig(step_h=1e-3)
+
+
+def untracked(state):
+    """``state`` without the loss accumulator r."""
+    return RiccatiState(p=state.p, q=state.q, r=None, elapsed=state.elapsed)
 
 
 class TestRk4Step:
@@ -189,9 +197,9 @@ class TestIntegrateBlock:
             got = integrate_block(st, blk, duration, CFG, direction)
             p, q = st.p.copy(), st.q.copy()
             r = _kernels.rk4_dense(p, q, st.r, blk.phi, blk.y, sign * 1e-3,
-                                   int(duration / 1e-3), True).r
+                                   int(duration / 1e-3)).r
             last = duration - int(duration / 1e-3) * 1e-3
-            r = _kernels.rk4_dense(p, q, r, blk.phi, blk.y, sign * last, 1, True).r
+            r = _kernels.rk4_dense(p, q, r, blk.phi, blk.y, sign * last, 1).r
             assert np.max(np.abs(got.p - p)) < 1e-13 * max(1.0, np.max(np.abs(p)))
             assert np.max(np.abs(got.q - q)) < 1e-13 * max(1.0, np.max(np.abs(q)))
             assert abs(got.r - r) < 1e-13 * max(1.0, abs(r))
@@ -295,8 +303,7 @@ class TestExtractSolution:
 
     def test_untracked_state_has_no_loss(self):
         hyper = Hyperparams(gamma=[1.0], theta0=[0.0])
-        cfg = IntegrationConfig(step_h=1e-3, track_loss=False)
-        st = fit(hyper, [DataBlock(phi=[[1.0]], y=[1.0])], cfg)
+        st = add_block(untracked(new_state(hyper)), DataBlock(phi=[[1.0]], y=[1.0]), CFG)
         sol = extract_solution(st, hyper)
         assert sol.total_loss is None
 
@@ -356,15 +363,17 @@ class TestAddRemove:
         assert err < 1e-6
 
     def test_loss_accumulator_follows_the_state(self):
-        # A tracking state keeps integrating r even under a config whose
-        # track_loss flag is off; that flag only shapes fresh fits.
+        # A state with r keeps integrating it and one without stays without;
+        # p and q do not depend on which.
         rng = np.random.default_rng(17)
         hyper, blocks = rand_problem(rng, n_blocks=2)
-        no_track_cfg = IntegrationConfig(step_h=1e-3, track_loss=False)
         st = fit(hyper, blocks[:1], CFG)
-        st2 = add_block(st, blocks[1], no_track_cfg)
+        st2 = add_block(st, blocks[1], CFG)
+        bare = add_block(untracked(st), blocks[1], CFG)
         reference = fit(hyper, blocks, CFG)
         assert st2.r == pytest.approx(reference.r, rel=1e-12)
+        assert bare.r is None
+        assert np.array_equal(bare.p, st2.p) and np.array_equal(bare.q, st2.q)
 
     def test_streaming_error_decreases_at_milestones(self):
         prob = gen_sin10x(5000, seed=0, noise_scale=1.0)
@@ -574,8 +583,8 @@ class TestTuneGamma:
     def test_trace_requires_loss_accumulator(self):
         rng = np.random.default_rng(35)
         hyper, blocks = rand_problem(rng)
-        cfg = IntegrationConfig(step_h=1e-2, track_loss=False)
-        st = fit(hyper, blocks, cfg)
+        cfg = IntegrationConfig(step_h=1e-2)
+        st = untracked(fit(hyper, blocks, cfg))
         with pytest.raises(ValueError, match="accumulator"):
             tune_gamma(st, hyper, 0.5 * hyper.gamma, cfg, ParetoTrace())
 
@@ -585,6 +594,42 @@ class TestTuneGamma:
         st = fit(hyper, blocks, CFG)
         with pytest.raises(ValueError):
             tune_gamma(st, hyper, 0.0 * hyper.gamma, CFG)
+
+
+class TestUntrackedState:
+    """A state without the loss accumulator stays without one through every
+    flow operation, RK4 and exact, and its p and q are those of the same
+    chain run from r = 0.0."""
+
+    @staticmethod
+    def _chain(state, hyper, blocks):
+        up = 3.0 * hyper.gamma
+        down = 0.5 * up
+        mixed = np.where(np.arange(hyper.n) % 2 == 0, 2.0, 0.25) * down
+        cfg = IntegrationConfig(step_h=1e-2)
+        states = [add_block(state, blocks[0], CFG)]
+        states.append(remove_block(states[-1], blocks[1], CFG))
+        states.append(tune_lambda(states[-1], blocks[2], 0.2, 0.1, CFG))
+        states.append(tune_lambda(states[-1], blocks[2], 0.1, 0.3, CFG))
+        for old, new in ((hyper.gamma, up), (up, down), (down, mixed)):
+            states.append(tune_gamma(states[-1], hyper.with_gamma(old), new, cfg)[0])
+        states.append(rls_add(states[-1], blocks[1]))
+        states.append(rls_remove(states[-1], blocks[0]))
+        return states
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_chain_keeps_r_none_and_p_q_of_the_tracked_chain(self, m):
+        rng = np.random.default_rng(70 + m)
+        hyper, blocks = rand_problem(rng, n=5, n_blocks=4, m=m, lam=0.2)
+        start = fit(hyper, blocks[1:], CFG)
+        tracked = self._chain(start, hyper, blocks)
+        bare = self._chain(untracked(start), hyper, blocks)
+        for with_r, without_r in zip(tracked, bare):
+            assert isinstance(with_r.r, float)
+            assert without_r.r is None
+            assert np.array_equal(without_r.p, with_r.p)
+            assert np.array_equal(without_r.q, with_r.q)
+            assert without_r.elapsed == with_r.elapsed
 
 
 class TestShiftBias:

@@ -84,11 +84,11 @@ def _assert_close(got, ref):
     assert abs(r_a - r_b) < 1e-13 * max(1.0, abs(r_b))
 
 
-def _both(p0, q0, r0, phi, y, h, nsteps, track_loss=True):
+def _both(p0, q0, r0, phi, y, h, nsteps):
     p_a, q_a = p0.copy(), q0.copy()
-    r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps, track_loss).r
+    r_a = _kernels.rk4_dense(p_a, q_a, r0, phi, y, h, nsteps).r
     p_b, q_b = p0.copy(), q0.copy()
-    r_b = _rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, track_loss)
+    r_b = _rk4_dense_numpy(p_b, q_b, r0, phi, y, h, nsteps, True, True)
     return (p_a, q_a, r_a), (p_b, q_b, r_b)
 
 
@@ -102,7 +102,7 @@ class TestDenseKernel:
             phi = np.ascontiguousarray(rng.normal(size=(m, n)))
             y = np.ascontiguousarray(rng.normal(size=m))
             p_a, q_a = p0.copy(), q0.copy()
-            r_a = _kernels.rk4_dense(p_a, q_a, 0.0, phi, y, 1e-2, 100, True).r
+            r_a = _kernels.rk4_dense(p_a, q_a, 0.0, phi, y, 1e-2, 100).r
             p_b, q_b = p0.copy(), q0.copy()
             r_b = _rk4_dense_numpy(p_b, q_b, 0.0, phi, y, 1e-2, 100, True, True)
             assert np.max(np.abs(p_a - p_b)) < 1e-13
@@ -116,7 +116,7 @@ class TestDenseKernel:
         q = rng.normal(size=n)
         phi = np.ascontiguousarray(rng.normal(size=(1, n)))
         y = np.ascontiguousarray(rng.normal(size=1))
-        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True)
+        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50)
         assert np.array_equal(p, p.T)
 
     def test_multi_row_path_keeps_p_exactly_symmetric(self):
@@ -126,7 +126,7 @@ class TestDenseKernel:
         q = rng.normal(size=n)
         phi = np.ascontiguousarray(rng.normal(size=(4, n)))
         y = np.ascontiguousarray(rng.normal(size=4))
-        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50, True)
+        _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-2, 50)
         assert np.array_equal(p, p.T)
 
     # Multi-row blocks (m > 1) against the per-step reference.
@@ -168,18 +168,10 @@ class TestDenseKernel:
         assert np.array_equal(got[1], q0)
         _assert_close(got, ref)
 
-    @pytest.mark.parametrize("m", [4, 8])
-    @pytest.mark.parametrize("h", [1e-3, -1e-3])
-    def test_untracked_loss_leaves_r_untouched(self, m, h):
-        p0, q0, phi, y = self._case(5, m)
-        got, ref = _both(p0, q0, 0.75, phi, y, h, 100, track_loss=False)
-        assert got[2] == 0.75
-        _assert_close(got, ref)
-
     def test_blow_up_marks_whole_state_nan(self):
         p0, q0, phi, y = self._case(5, 4)
         p, q = p0.copy(), q0.copy()
-        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100, False).r
+        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100).r
         assert np.isnan(p).all() and np.isnan(q).all() and np.isnan(r)
 
     @pytest.mark.parametrize("m", [1, 4, 8])
@@ -188,8 +180,8 @@ class TestDenseKernel:
         # block identically; only the integrals c differ.  m = 8 > n = 5
         # takes the thin-QR path.
         p0, q0, phi, y = self._case(5, m)
-        dense = _kernels.rk4_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1e-2, 100, True)
-        exact = _kernels.exact_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1.0, True, "refused")
+        dense = _kernels.rk4_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1e-2, 100)
+        exact = _kernels.exact_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1.0, "refused")
         assert np.array_equal(dense.w, exact.w)
         assert np.array_equal(dense.bh, exact.bh)
         assert dense.running is None and exact.running is None
@@ -202,7 +194,7 @@ class TestDenseKernel:
         added = _both(p0, q0, 0.0, phi, y, 1e-3, 50)
         _assert_close(*added)
         (p_a, q_a, r_a), (p_b, q_b, r_b) = added
-        r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50, True).r
+        r_a = _kernels.rk4_dense(p_a, q_a, r_a, phi, y, -1e-3, 50).r
         r_b = _rk4_dense_numpy(p_b, q_b, r_b, phi, y, -1e-3, 50, True, True)
         got, ref = (p_a, q_a, r_a), (p_b, q_b, r_b)
         _assert_close(got, ref)
@@ -232,19 +224,11 @@ class TestSingleRowKernel:
         p0, q0, phi, y = self._case()
         _assert_close(*_both(p0, q0, 0.5, phi, y, h, nsteps))
 
-    @pytest.mark.parametrize("h", [1e-3, -1e-3])
-    def test_untracked_loss_leaves_r_untouched(self, h):
-        p0, q0, phi, y = self._case()
-        (p_a, q_a, r_a), (p_b, q_b, _) = _both(p0, q0, 0.75, phi, y, h, 500, False)
-        assert r_a == 0.75
-        assert np.max(np.abs(p_a - p_b)) < 1e-13
-        assert np.max(np.abs(q_a - q_b)) < 1e-13
-
     def test_zero_feature_row(self):
         # a0 = phi^T p phi = 0: p and q stay put, only the loss accumulates.
         p0, q0, _, y = self._case()
         phi = np.zeros((1, p0.shape[0]))
-        (p_a, q_a, r_a), (_, _, r_b) = _both(p0, q0, 0.5, phi, y, 1e-2, 100, True)
+        (p_a, q_a, r_a), (_, _, r_b) = _both(p0, q0, 0.5, phi, y, 1e-2, 100)
         assert np.array_equal(p_a, p0)
         assert np.array_equal(q_a, q0)
         assert abs(r_a - r_b) < 1e-13
@@ -261,7 +245,7 @@ class TestDiagKernel:
         q0 = rng.normal(size=n)
         d = np.ascontiguousarray(rng.uniform(0.0, 1.0, size=n))
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, 0.0, d, 1e-2, 100, True).r
+        r_a = _kernels.rk4_diag(p_a, q_a, 0.0, d, 1e-2, 100).r
         p_b, q_b = p0.copy(), q0.copy()
         r_b = _rk4_diag_numpy(p_b, q_b, 0.0, d, 1e-2, 100, True, True)
         assert np.max(np.abs(p_a - p_b)) < 1e-13
@@ -282,11 +266,11 @@ class TestDiagKernel:
         return p0, rng.normal(size=n), d
 
     @staticmethod
-    def _both(p0, q0, r0, d, h, nsteps, track_loss=True):
+    def _both(p0, q0, r0, d, h, nsteps):
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, r0, d, h, nsteps, track_loss).r
+        r_a = _kernels.rk4_diag(p_a, q_a, r0, d, h, nsteps).r
         p_b, q_b = p0.copy(), q0.copy()
-        r_b = _rk4_diag_numpy(p_b, q_b, r0, d, h, nsteps, True, track_loss)
+        r_b = _rk4_diag_numpy(p_b, q_b, r0, d, h, nsteps, True, True)
         return (p_a, q_a, r_a), (p_b, q_b, r_b)
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
@@ -307,38 +291,31 @@ class TestDiagKernel:
         p0, q0, d = self._case(6, zeros=1, scale=0.5)
         _assert_close(*self._both(p0, q0, 0.5, d, h, 10_000))
 
-    @pytest.mark.parametrize("h", [1e-3, -1e-3])
-    def test_untracked_loss_leaves_r_untouched(self, h):
-        p0, q0, d = self._case(6, zeros=2, scale=0.5)
-        got, ref = self._both(p0, q0, 0.75, d, h, 100, track_loss=False)
-        assert got[2] == 0.75
-        _assert_close(got, ref)
-
     @pytest.mark.parametrize("zeros", [0, 2])
     def test_keeps_p_exactly_symmetric(self, zeros):
         p0, q0, d = self._case(6, zeros=zeros)
         p = p0 + 1e-3 * np.triu(np.ones_like(p0), 1)  # start from an asymmetric p
-        _kernels.rk4_diag(p, q0.copy(), 0.0, d, 1e-2, 50, True)
+        _kernels.rk4_diag(p, q0.copy(), 0.0, d, 1e-2, 50)
         assert np.array_equal(p, p.T)
 
     def test_zero_weights_leave_state_put(self):
         p0, q0, _ = self._case(6)
         p, q = p0.copy(), q0.copy()
-        assert _kernels.rk4_diag(p, q, 0.5, np.zeros(6), 1e-2, 10, True).r == 0.5
+        assert _kernels.rk4_diag(p, q, 0.5, np.zeros(6), 1e-2, 10).r == 0.5
         assert np.array_equal(p, p0) and np.array_equal(q, q0)
 
     def test_rejects_negative_weights(self):
         p0, q0, d = self._case(6)
         d[0] = -0.1
         with pytest.raises(ValueError, match="must be >= 0"):
-            _kernels.rk4_diag(p0.copy(), q0.copy(), 0.0, d, 1e-2, 10, True)
+            _kernels.rk4_diag(p0.copy(), q0.copy(), 0.0, d, 1e-2, 10)
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_final_step_of_its_own_size(self, h):
         # nsteps - 1 steps of size h and one of size last, in one call.
         p0, q0, d = self._case(6, zeros=1, scale=0.5)
         p_a, q_a = p0.copy(), q0.copy()
-        r_a = _kernels.rk4_diag(p_a, q_a, 0.5, d, h, 40, True, 0.3 * h).r
+        r_a = _kernels.rk4_diag(p_a, q_a, 0.5, d, h, 40, 0.3 * h).r
         p_b, q_b = p0.copy(), q0.copy()
         r_b = _rk4_diag_numpy(p_b, q_b, 0.5, d, h, 39, True, True)
         r_b = _rk4_diag_numpy(p_b, q_b, r_b, d, 0.3 * h, 1, True, True)
@@ -347,7 +324,7 @@ class TestDiagKernel:
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_factors_give_every_intermediate_state(self, h):
         p0, q0, d = self._case(6, zeros=2, scale=0.5)
-        run = _kernels.rk4_diag(p0.copy(), q0.copy(), 0.5, d, h, 31, True, trail=True)
+        run = _kernels.rk4_diag(p0.copy(), q0.copy(), 0.5, d, h, 31, trail=True)
         w, bh, c = run.w, run.bh, run.running
         assert c.shape == (30, 4)
         p_b, q_b, r_b = p0.copy(), q0.copy(), 0.5

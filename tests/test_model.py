@@ -120,8 +120,9 @@ class TestNewState:
             np.testing.assert_array_equal(st.p, np.diag(1.0 / gamma))
 
     def test_untracked_loss(self):
-        st = new_state(Hyperparams(gamma=[1.0], theta0=[0.0]), track_loss=False)
+        st = RiccatiState(p=[[1.0]], q=[0.0], r=None)
         assert st.r is None
+        assert new_state(Hyperparams(gamma=[1.0], theta0=[0.0])).r == 0.0
 
 
 class TestRiccatiState:
