@@ -92,6 +92,17 @@ def _both(p0, q0, r0, phi, y, h, nsteps):
     return (p_a, q_a, r_a), (p_b, q_b, r_b)
 
 
+def _assert_p_q_independent_of_r(both):
+    """``both(r0)`` gives (kernel, reference) runs from the loss r0.  The
+    engine runs a state without r from r0 = 0.0 and drops the r it gets, so
+    p and q must come out the same from any r0."""
+    got, ref = both(0.75)
+    from_zero, _ = both(0.0)
+    assert np.array_equal(from_zero[0], got[0])
+    assert np.array_equal(from_zero[1], got[1])
+    _assert_close(got, ref)
+
+
 class TestDenseKernel:
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(1)
@@ -168,6 +179,12 @@ class TestDenseKernel:
         assert np.array_equal(got[1], q0)
         _assert_close(got, ref)
 
+    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_p_q_do_not_depend_on_r(self, m, h):
+        p0, q0, phi, y = self._case(5, m)
+        _assert_p_q_independent_of_r(lambda r0: _both(p0, q0, r0, phi, y, h, 100))
+
     def test_blow_up_marks_whole_state_nan(self):
         p0, q0, phi, y = self._case(5, 4)
         p, q = p0.copy(), q0.copy()
@@ -223,6 +240,11 @@ class TestSingleRowKernel:
     def test_matches_numpy_reference_forward_and_backward(self, h, nsteps):
         p0, q0, phi, y = self._case()
         _assert_close(*_both(p0, q0, 0.5, phi, y, h, nsteps))
+
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_p_q_do_not_depend_on_r(self, h):
+        p0, q0, phi, y = self._case()
+        _assert_p_q_independent_of_r(lambda r0: _both(p0, q0, r0, phi, y, h, 500))
 
     def test_zero_feature_row(self):
         # a0 = phi^T p phi = 0: p and q stay put, only the loss accumulates.
@@ -290,6 +312,11 @@ class TestDiagKernel:
     def test_long_run(self, h):
         p0, q0, d = self._case(6, zeros=1, scale=0.5)
         _assert_close(*self._both(p0, q0, 0.5, d, h, 10_000))
+
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_p_q_do_not_depend_on_r(self, h):
+        p0, q0, d = self._case(6, zeros=2, scale=0.5)
+        _assert_p_q_independent_of_r(lambda r0: self._both(p0, q0, r0, d, h, 100))
 
     @pytest.mark.parametrize("zeros", [0, 2])
     def test_keeps_p_exactly_symmetric(self, zeros):
