@@ -319,7 +319,18 @@ def cmd_pdhg(args) -> int:
                 f"(need uniform gamma = {expected!r})"
             )
         inner_state = inner_ck.state
-    result = pdhg.pdhg_solve(n, blocks, spec, cfg, riccati_cfg, inner_state)
+    try:
+        result = pdhg.pdhg_solve(n, blocks, spec, cfg, riccati_cfg, inner_state)
+    except NumericsError as exc:
+        if inner_state is not None:
+            raise
+        # Without a checkpoint the only integration is the inner ridge fit.
+        gamma = 1.0 / args.sigma_theta
+        raise NumericsError(
+            f"the inner ridge fit at gamma = 1/sigma_theta = {gamma!r} failed: {exc}, "
+            f"or fit the inner state exactly with `ricreg fit {args.data} --method rls "
+            f"--gamma {gamma!r} --out INNER.json` and pass --checkpoint INNER.json"
+        ) from exc
     payload = {
         "theta_star": [float(v) for v in result.solution.theta_star],
         "sparsity_pattern": [

@@ -27,7 +27,9 @@ from .model import (
     ModelSolution,
     NumericsError,
     RiccatiState,
-    data_fit_value,
+    _fitted_solution,
+    _new_solution,
+    _new_state,
     new_state,
     validate_block,
 )
@@ -145,16 +147,18 @@ def _split_steps(duration: float, h: float, sign: float) -> tuple[float, int, fl
     return sign * h, k, sign * (duration - (k - 1) * h)
 
 
-def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState):
+def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState, scanned=False):
     """The state that ``run(p, q, r)`` leads to: ``run`` advances copies of
     ``state.p`` and ``state.q`` in place, from the state's r (0.0 when it has
     none), and returns the new r.  r stays None if the state had none, and
-    elapsed advances by ``signed_duration``."""
+    elapsed advances by ``signed_duration``.  The copies become the new
+    state's arrays; ``scanned``: ``run`` has checked them for non-finite
+    values (``_check_finite``), so the state does not scan them again."""
     p = state.p.copy()
     q = state.q.copy()
     r = run(p, q, 0.0 if state.r is None else state.r)
     r = None if state.r is None else r
-    return cls(p=p, q=q, r=r, elapsed=_new_elapsed(state.elapsed, signed_duration))
+    return _new_state(cls, p, q, r, _new_elapsed(state.elapsed, signed_duration), scanned)
 
 
 def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
@@ -166,7 +170,7 @@ def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> Riccati
         _check_finite(p, q, r, direction)
         return r
 
-    return _advance(state, sign * duration, run)
+    return _advance(state, sign * duration, run, scanned=True)
 
 
 def rk4_step(
@@ -213,7 +217,12 @@ def loss_from_state(state: RiccatiState, hyper: Hyperparams) -> float:
     if state.r is None:
         raise ValueError("loss accumulator was not tracked for this state")
     x = hyper.evaluation_point()
-    s_value = 0.5 * float(x @ (state.p @ x)) + float(state.q @ x) + state.r
+    return _loss_identity(state, hyper, x, state.p @ x)
+
+
+def _loss_identity(state, hyper, x, px) -> float:
+    # loss_from_state at the evaluation point x, given px = P x.
+    s_value = 0.5 * float(x @ px) + float(state.q @ x) + state.r
     return -s_value + 0.5 * float(hyper.theta0 @ x)
 
 
@@ -229,20 +238,14 @@ def extract_solution(
     """
     if state.n != hyper.n:
         raise ValueError("state and hyperparams dimension mismatch")
-    theta = state.p @ hyper.evaluation_point() + state.q
+    x = hyper.evaluation_point()
+    px = state.p @ x
+    theta = px + state.q
     if blocks is not None:
-        data_fit = data_fit_value(theta, blocks)
-        diff = theta - hyper.theta0
-        reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
-        return ModelSolution(
-            theta_star=theta,
-            data_fit=data_fit,
-            reg_value=reg_value,
-            total_loss=data_fit + reg_value,
-        )
+        return _fitted_solution(theta, hyper, blocks)
     if state.r is not None:
-        return ModelSolution(theta_star=theta, total_loss=loss_from_state(state, hyper))
-    return ModelSolution(theta_star=theta)
+        return _new_solution(theta, total_loss=_loss_identity(state, hyper, x, px))
+    return _new_solution(theta)
 
 
 def add_block(state: RiccatiState, block: DataBlock, cfg: IntegrationConfig) -> RiccatiState:
@@ -382,7 +385,7 @@ def tune_gamma(
                 r = _run_diag(p, q, r, inc, cfg, direction, trace, gamma_at, gamma_end, theta0)
         return r
 
-    return _advance(state, 0.0, run), new_hyper
+    return _advance(state, 0.0, run, scanned=True), new_hyper
 
 
 def shift_bias(state: RiccatiState, hyper: Hyperparams, new_theta0) -> ModelSolution:

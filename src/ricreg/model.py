@@ -1,10 +1,18 @@
 """Shared value types: data blocks, hyper-parameters, solver states, checkpoints.
 
-Every type here is an immutable value object: array fields are copied on
-construction and marked read-only (the blocks of one ``read_blocks`` call are
-read-only, non-overlapping views of one stack), so instances can be shared
-freely across threads.  Solver operations never mutate a state; they return
-new ones.
+Every type here is an immutable value object whose array fields are
+read-only, so instances can be shared freely across threads.  Solver
+operations never mutate a state; they return new ones.
+
+Each array is checked and copied once, where it enters a value object.  An
+array from outside the library (any public constructor, the new weights of
+``Hyperparams.with_gamma``, the new bias of ``with_theta0``) is copied,
+checked and frozen.  An array that a library operation has just allocated
+(the p and q of a flow step, a minimizer) is frozen in place and adopted,
+after the same checks, each run once: a field taken over from another value
+object, or a finiteness scan that the operation has already made, is not
+repeated.  The blocks of one ``read_blocks`` call are read-only,
+non-overlapping views of one stack, checked once.
 """
 
 from __future__ import annotations
@@ -41,13 +49,29 @@ class NumericsError(RuntimeError):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+    """A read-only copy of ``values``: for arrays from outside the library."""
+    return _frozen(np.array(values, dtype=dtype, copy=True))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only: for an array that an operation has just
+    allocated and that nothing else holds."""
     arr.flags.writeable = False
     return arr
 
 
-def _set(obj, name, value):
-    object.__setattr__(obj, name, value)
+def _init(obj, fields: dict) -> None:
+    # Filling __dict__ directly skips the frozen __setattr__ guard, at a third
+    # of the cost of object.__setattr__ per field.
+    obj.__dict__.update(fields)
+
+
+def _adopt(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` over ``fields`` that are
+    already checked and frozen, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    _init(obj, fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -74,9 +98,7 @@ class DataBlock:
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
         if not np.isfinite(phi).all() or not np.isfinite(y).all():
             raise ValueError("phi and y must be finite")
-        _set(self, "phi", phi)
-        _set(self, "y", y)
-        _set(self, "lam", lam)
+        _init(self, {"phi": phi, "y": y, "lam": lam})
 
     @property
     def m(self) -> int:
@@ -138,20 +160,7 @@ class Hyperparams:
     theta0: np.ndarray
 
     def __post_init__(self):
-        gamma = _frozen_array(self.gamma)
-        theta0 = _frozen_array(self.theta0)
-        if gamma.ndim != 1 or theta0.ndim != 1:
-            raise ValueError("gamma and theta0 must be 1-D")
-        if gamma.shape != theta0.shape:
-            raise ValueError(
-                f"gamma length {gamma.shape[0]} != theta0 length {theta0.shape[0]}"
-            )
-        if not np.isfinite(gamma).all() or not np.isfinite(theta0).all():
-            raise ValueError("gamma and theta0 must be finite")
-        if (gamma <= 0.0).any():
-            raise ValueError("every gamma entry must be > 0")
-        _set(self, "gamma", gamma)
-        _set(self, "theta0", theta0)
+        _init(self, _hyper_fields(_frozen_array(self.gamma), _frozen_array(self.theta0)))
 
     @property
     def n(self) -> int:
@@ -162,10 +171,33 @@ class Hyperparams:
         return self.gamma * self.theta0
 
     def with_gamma(self, gamma) -> "Hyperparams":
-        return Hyperparams(gamma=gamma, theta0=self.theta0)
+        """New weights (copied and checked as in the constructor), same bias."""
+        fields = _hyper_fields(_frozen_array(gamma), self.theta0, new_theta0=False)
+        return _adopt(Hyperparams, fields)
 
     def with_theta0(self, theta0) -> "Hyperparams":
-        return Hyperparams(gamma=self.gamma, theta0=theta0)
+        """New bias (copied and checked as in the constructor), same weights."""
+        fields = _hyper_fields(self.gamma, _frozen_array(theta0), new_gamma=False)
+        return _adopt(Hyperparams, fields)
+
+
+def _hyper_fields(gamma, theta0, new_gamma=True, new_theta0=True) -> dict:
+    # The checks of Hyperparams, in the constructor's order; the scans of
+    # values run only for the arrays that are new, the others being the
+    # fields of a Hyperparams already.
+    if gamma.ndim != 1 or theta0.ndim != 1:
+        raise ValueError("gamma and theta0 must be 1-D")
+    if gamma.shape != theta0.shape:
+        raise ValueError(
+            f"gamma length {gamma.shape[0]} != theta0 length {theta0.shape[0]}"
+        )
+    if (new_gamma and not np.isfinite(gamma).all()) or (
+        new_theta0 and not np.isfinite(theta0).all()
+    ):
+        raise ValueError("gamma and theta0 must be finite")
+    if new_gamma and (gamma <= 0.0).any():
+        raise ValueError("every gamma entry must be > 0")
+    return {"gamma": gamma, "theta0": theta0}
 
 
 @dataclass(frozen=True)
@@ -183,26 +215,8 @@ class RiccatiState:
     elapsed: float = 0.0
 
     def __post_init__(self):
-        p = _frozen_array(self.p)
-        q = _frozen_array(self.q)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"p must be square, got shape {p.shape}")
-        if q.ndim != 1 or q.shape[0] != p.shape[0]:
-            raise ValueError(f"q length {q.shape} does not match p {p.shape}")
-        if not np.isfinite(p).all() or not np.isfinite(q).all():
-            raise NumericsError("non-finite entries in state")
-        r = self.r
-        if r is not None:
-            r = float(r)
-            if not math.isfinite(r):
-                raise NumericsError("non-finite loss accumulator")
-        elapsed = float(self.elapsed)
-        if not math.isfinite(elapsed) or elapsed < 0.0:
-            raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "r", r)
-        _set(self, "elapsed", elapsed)
+        p, q = _frozen_array(self.p), _frozen_array(self.q)
+        _init(self, _state_fields(p, q, self.r, self.elapsed))
 
     @property
     def n(self) -> int:
@@ -221,11 +235,37 @@ class RiccatiState:
             return False
 
 
+def _state_fields(p, q, r, elapsed, scanned=False) -> dict:
+    # The checks of RiccatiState.  ``scanned``: the caller has already found
+    # every entry of p and q finite.
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"p must be square, got shape {p.shape}")
+    if q.ndim != 1 or q.shape[0] != p.shape[0]:
+        raise ValueError(f"q length {q.shape} does not match p {p.shape}")
+    if not scanned and (not np.isfinite(p).all() or not np.isfinite(q).all()):
+        raise NumericsError("non-finite entries in state")
+    if r is not None:
+        r = float(r)
+        if not math.isfinite(r):
+            raise NumericsError("non-finite loss accumulator")
+    elapsed = float(elapsed)
+    if not math.isfinite(elapsed) or elapsed < 0.0:
+        raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
+    return {"p": p, "q": q, "r": r, "elapsed": elapsed}
+
+
+def _new_state(cls, p, q, r, elapsed, scanned=False):
+    """A ``cls`` (RiccatiState or a subclass) over the p and q that an
+    operation has just built, frozen in place, after the constructor's checks
+    (``scanned``: p and q were already found finite)."""
+    return _adopt(cls, _state_fields(_frozen(p), _frozen(q), r, elapsed, scanned))
+
+
 def new_state(hyper: Hyperparams) -> RiccatiState:
     """Fresh state: p = diag(1/gamma), q = 0, r = 0, elapsed = 0."""
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
-    return RiccatiState(p=p, q=q, r=0.0, elapsed=0.0)
+    return _new_state(RiccatiState, p, q, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -244,25 +284,44 @@ class ModelSolution:
 
     def __post_init__(self):
         theta = _frozen_array(self.theta_star)
-        if theta.ndim != 1:
-            raise ValueError("theta_star must be 1-D")
-        if not np.isfinite(theta).all():
-            raise NumericsError("non-finite minimizer")
-        _set(self, "theta_star", theta)
-        for name in ("data_fit", "reg_value", "total_loss"):
-            v = getattr(self, name)
-            _set(self, name, None if v is None else float(v))
-        if (
-            self.data_fit is not None
-            and self.reg_value is not None
-            and self.total_loss is not None
-        ):
-            total = self.data_fit + self.reg_value
-            scale = max(abs(total), abs(self.total_loss), 1e-300)
-            if abs(total - self.total_loss) > 1e-10 * scale:
-                raise ValueError(
-                    "total_loss is inconsistent with data_fit + reg_value"
-                )
+        _init(self, _solution_fields(theta, self.data_fit, self.reg_value, self.total_loss))
+
+
+def _solution_fields(theta, data_fit, reg_value, total_loss) -> dict:
+    # The checks of ModelSolution.
+    if theta.ndim != 1:
+        raise ValueError("theta_star must be 1-D")
+    if not np.isfinite(theta).all():
+        raise NumericsError("non-finite minimizer")
+    data_fit, reg_value, total_loss = [
+        None if v is None else float(v) for v in (data_fit, reg_value, total_loss)
+    ]
+    if data_fit is not None and reg_value is not None and total_loss is not None:
+        total = data_fit + reg_value
+        scale = max(abs(total), abs(total_loss), 1e-300)
+        if abs(total - total_loss) > 1e-10 * scale:
+            raise ValueError("total_loss is inconsistent with data_fit + reg_value")
+    return {
+        "theta_star": theta,
+        "data_fit": data_fit,
+        "reg_value": reg_value,
+        "total_loss": total_loss,
+    }
+
+
+def _new_solution(theta, data_fit=None, reg_value=None, total_loss=None) -> ModelSolution:
+    """A ModelSolution over a minimizer that an operation has just built,
+    frozen in place, after the constructor's checks."""
+    return _adopt(ModelSolution, _solution_fields(_frozen(theta), data_fit, reg_value, total_loss))
+
+
+def _fitted_solution(theta, hyper: Hyperparams, blocks) -> ModelSolution:
+    """``_new_solution`` with the data-fit and regularization values of
+    ``theta`` evaluated on ``blocks``; total_loss is their sum."""
+    data_fit = data_fit_value(theta, blocks)
+    diff = theta - hyper.theta0
+    reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
+    return _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
 
 
 @dataclass(frozen=True)
@@ -277,21 +336,35 @@ class PdhgState:
     iteration: int = 0
 
     def __post_init__(self):
-        for name in ("theta", "w", "theta_bar"):
-            _set(self, name, _frozen_array(getattr(self, name)))
-        st = float(self.sigma_theta)
-        sw = float(self.sigma_w)
-        if st <= 0.0 or sw <= 0.0:
-            raise ValueError("step sizes must be positive")
-        if st * sw >= 1.0:
-            raise ValueError(
-                f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}"
-            )
-        if self.iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        _set(self, "sigma_theta", st)
-        _set(self, "sigma_w", sw)
-        _set(self, "iteration", int(self.iteration))
+        arrays = (_frozen_array(getattr(self, name)) for name in ("theta", "w", "theta_bar"))
+        _init(self, _pdhg_fields(*arrays, self.sigma_theta, self.sigma_w, self.iteration))
+
+
+def _pdhg_fields(theta, w, theta_bar, sigma_theta, sigma_w, iteration) -> dict:
+    # The checks of PdhgState.
+    st = float(sigma_theta)
+    sw = float(sigma_w)
+    if st <= 0.0 or sw <= 0.0:
+        raise ValueError("step sizes must be positive")
+    if st * sw >= 1.0:
+        raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
+    if iteration < 0:
+        raise ValueError("iteration must be >= 0")
+    return {
+        "theta": theta,
+        "w": w,
+        "theta_bar": theta_bar,
+        "sigma_theta": st,
+        "sigma_w": sw,
+        "iteration": int(iteration),
+    }
+
+
+def _new_pdhg_state(theta, w, theta_bar, sigma_theta, sigma_w, iteration) -> PdhgState:
+    """A PdhgState over iterates that an operation has just built, frozen in
+    place, after the constructor's checks."""
+    arrays = map(_frozen, (theta, w, theta_bar))
+    return _adopt(PdhgState, _pdhg_fields(*arrays, sigma_theta, sigma_w, iteration))
 
 
 @dataclass(frozen=True)
@@ -308,7 +381,7 @@ class Checkpoint:
         if self.n != self.hyperparams.n or self.n != self.state.n:
             raise ValueError("checkpoint dimension mismatch")
         meta = {str(k): str(v) for k, v in self.metadata.items()}
-        _set(self, "metadata", meta)
+        _init(self, {"metadata": meta})
 
     def with_state(self, state: RiccatiState) -> "Checkpoint":
         return replace(self, state=state)
@@ -385,19 +458,6 @@ def block_from_dict(doc: dict) -> DataBlock:
     return DataBlock(phi=doc["phi"], y=doc["y"], lam=doc.get("lambda", 1.0))
 
 
-def _block_view(phi: np.ndarray, y: np.ndarray, lam: float) -> DataBlock:
-    # A DataBlock over arrays that are already checked, float64 and
-    # read-only: ``read_blocks`` hands out views of one validated stack.
-    # Filling __dict__ directly skips the frozen __setattr__ guard, at a third
-    # of the cost of object.__setattr__.
-    block = object.__new__(DataBlock)
-    fields = block.__dict__
-    fields["phi"] = phi
-    fields["y"] = y
-    fields["lam"] = lam
-    return block
-
-
 def _stacked_blocks(records) -> list[DataBlock] | None:
     # All records as views of one (rows x n) stack and one target vector,
     # checked and frozen once and bit-equal to what DataBlock builds from each
@@ -422,10 +482,9 @@ def _stacked_blocks(records) -> list[DataBlock] | None:
         return None
     if not np.isfinite(phi_all).all() or not np.isfinite(y_all).all():
         return None
-    phi_all.flags.writeable = False
-    y_all.flags.writeable = False
+    phi_all, y_all = _frozen(phi_all), _frozen(y_all)
     return [
-        _block_view(phi_all[start:stop], y_all[start:stop], lam)
+        _adopt(DataBlock, {"phi": phi_all[start:stop], "y": y_all[start:stop], "lam": lam})
         for start, stop, lam in zip(bounds, bounds[1:], lams)
     ]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Hyperparams, ModelSolution, NumericsError, data_fit_value, weighted_rows
+from .model import Hyperparams, ModelSolution, NumericsError, _fitted_solution, weighted_rows
 
 __all__ = ["normal_system", "solve_direct", "spd_cholesky"]
 
@@ -45,12 +45,4 @@ def solve_direct(hyper: Hyperparams, blocks) -> ModelSolution:
     a, rhs = normal_system(hyper, blocks)
     lower = spd_cholesky(a)
     theta = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
-    data_fit = data_fit_value(theta, blocks)
-    diff = theta - hyper.theta0
-    reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
-    return ModelSolution(
-        theta_star=theta,
-        data_fit=data_fit,
-        reg_value=reg_value,
-        total_loss=data_fit + reg_value,
-    )
+    return _fitted_solution(theta, hyper, blocks)

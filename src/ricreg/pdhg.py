@@ -36,6 +36,8 @@ from .model import (
     ModelSolution,
     PdhgState,
     RiccatiState,
+    _new_pdhg_state,
+    _new_solution,
     data_fit_value,
     validate_block,
 )
@@ -195,20 +197,10 @@ def pdhg_solve(
     data_fit = data_fit_value(theta, blocks)
     # Fold the linear term into reg_value so total = data_fit + reg_value.
     reg_value = regularizer_value(spec, theta) - float(x @ theta)
-    solution = ModelSolution(
-        theta_star=theta,
-        data_fit=data_fit,
-        reg_value=reg_value,
-        total_loss=data_fit + reg_value,
-    )
-    state = PdhgState(
-        theta=theta,
-        w=w,
-        theta_bar=theta_bar,
-        sigma_theta=cfg.sigma_theta,
-        sigma_w=cfg.sigma_w,
-        iteration=iterations,
-    )
+    # _iterate returns fresh arrays: they are frozen in place, and the
+    # solution and the state share theta.
+    solution = _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
+    state = _new_pdhg_state(theta, w, theta_bar, cfg.sigma_theta, cfg.sigma_w, iterations)
     return PdhgResult(
         solution=solution,
         state=state,

@@ -31,7 +31,14 @@ import numpy as np
 
 from . import _kernels
 from .engine import _advance
-from .model import DataBlock, Hyperparams, RiccatiState, validate_block, weighted_rows
+from .model import (
+    DataBlock,
+    Hyperparams,
+    RiccatiState,
+    _new_state,
+    validate_block,
+    weighted_rows,
+)
 
 __all__ = ["RlsState", "rls_add", "rls_remove", "rls_fit"]
 
@@ -90,4 +97,4 @@ def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     for start in range(0, len(y), step):
         rows = slice(start, start + step)
         r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, _ADD_REFUSAL).r
-    return RlsState(p=p, q=q, r=r, elapsed=float(sum(b.lam for b in blocks)))
+    return _new_state(RlsState, p, q, r, float(sum(b.lam for b in blocks)))

@@ -454,6 +454,28 @@ class TestPdhg:
         )
         assert code == 1
 
+    def test_failed_inner_fit_names_it_and_the_exact_fit(self, sin_data, tmp_path, capsys):
+        # gamma = 1/sigma_theta = 2 on sin10x is too stiff for the default step.
+        path, _ = sin_data
+        code = main(["pdhg", str(path), "--reg", "l1", "--reg-weight", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "numerical failure: the inner ridge fit at gamma = 1/sigma_theta = 2.0 failed: "
+            "integration produced non-finite values; use a smaller step size"
+        )
+        assert f"`ricreg fit {path} --method rls --gamma 2.0 --out INNER.json`" in err
+        assert "--checkpoint INNER.json" in err
+        # The suggested inner state makes the same call work.
+        inner = tmp_path / "inner.json"
+        code, _ = run(capsys, "fit", str(path), "--method", "rls", "--gamma", "2.0",
+                      "--out", str(inner))
+        assert code == 0
+        code, payload = run(capsys, "pdhg", str(path), "--reg", "l1", "--reg-weight", "0.1",
+                            "--checkpoint", str(inner))
+        assert code == 0
+        assert payload["converged"]
+
 
 class TestEval:
     def _checkpoint_from_sin_fit(self, tmp_path, capsys, sin_path):

@@ -19,6 +19,7 @@ from ricreg import (
     remove_block,
     rk4_step,
     rls_add,
+    rls_fit,
     rls_remove,
     shift_bias,
     solve_direct,
@@ -26,6 +27,7 @@ from ricreg import (
     tune_lambda,
 )
 from ricreg import _kernels
+from ricreg.pdhg import PdhgConfig, ProxSpec, pdhg_solve
 from ricreg.problems import gen_sin10x, relative_l1, relative_l2
 from ricreg.bases import feature_matrix, get_basis
 from test_kernels import _rk4_diag_numpy
@@ -649,6 +651,114 @@ class TestShiftBias:
         shifted = shift_bias(st, hyper, new_theta0)
         oracle = solve_direct(hyper.with_theta0(new_theta0), blocks)
         assert relative_l1(shifted.theta_star, oracle.theta_star) < 1e-10
+
+
+class TestSolutionReference:
+    """extract_solution, shift_bias and loss_from_state against their formulas
+    written out: theta = P x + q and loss = -(x'P x / 2 + q'x + r) + theta0'x / 2
+    at x = gamma * theta0, compared by their bytes."""
+
+    @staticmethod
+    def _bytes(value):
+        return np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_bit_for_bit(self, tracked):
+        rng = np.random.default_rng(91)
+        hyper, blocks = rand_problem(rng, n=7, n_blocks=5, m=2)
+        state = fit(hyper, blocks, CFG)
+        if not tracked:
+            state = untracked(state)
+        # Many biases, small ones too: a formula that differs only in rounding
+        # changes the bits of a few percent of them.
+        draws = rng.normal(size=(200, 7)) * np.repeat([1.0, 1e-3], 100)[:, None]
+        for theta0 in [hyper.theta0, np.zeros(7), *draws]:
+            h = hyper.with_theta0(theta0)
+            x = h.gamma * h.theta0
+            theta = state.p @ x + state.q
+            solutions = (
+                extract_solution(state, h),
+                shift_bias(state, hyper, theta0),
+                extract_solution(state, h, blocks),
+            )
+            for sol in solutions:
+                assert sol.theta_star.tobytes() == theta.tobytes()
+            if not tracked:
+                assert solutions[0].total_loss is None and solutions[1].total_loss is None
+                with pytest.raises(ValueError, match="not tracked"):
+                    loss_from_state(state, h)
+                continue
+            s_value = 0.5 * float(x @ (state.p @ x)) + float(state.q @ x) + state.r
+            loss = -s_value + 0.5 * float(h.theta0 @ x)
+            assert self._bytes(loss_from_state(state, h)) == self._bytes(loss)
+            for sol in solutions[:2]:
+                assert self._bytes(sol.total_loss) == self._bytes(loss)
+
+
+class TestValuesOwnTheirArrays:
+    """Arrays from the caller are copied where they enter a value object, and
+    every array of a state or solution that an operation returns is read-only
+    and shares no memory with the caller's arrays."""
+
+    @staticmethod
+    def _arrays(value):
+        return [v for v in vars(value).values() if isinstance(v, np.ndarray)]
+
+    @staticmethod
+    def _values():
+        rng = np.random.default_rng(92)
+        n = 4
+        gamma, theta0, q = rng.uniform(0.5, 2.0, n), rng.normal(size=n), rng.normal(size=n)
+        a = rng.normal(size=(n, n))
+        p = a @ a.T / n + np.eye(n)
+        bias, new_gamma = rng.normal(size=n), gamma * rng.uniform(0.8, 1.5, n)
+        block = DataBlock(phi=rng.normal(size=(2, n)), y=rng.normal(size=2), lam=0.5)
+        hyper = Hyperparams(gamma=gamma, theta0=theta0)
+        state = RiccatiState(p=p, q=q, r=0.0)
+        added = add_block(state, block, CFG)
+        exact = rls_add(state, block)
+        values = {
+            "Hyperparams": hyper,
+            "RiccatiState": state,
+            "with_theta0": hyper.with_theta0(bias),
+            "with_gamma": hyper.with_gamma(new_gamma),
+            "shift_bias": shift_bias(state, hyper, bias),
+            "extract_solution": extract_solution(state, hyper, [block]),
+            "add_block": added,
+            "remove_block": remove_block(added, block, CFG),
+            "rls_add": exact,
+            "rls_remove": rls_remove(exact, block),
+            "tune_gamma": tune_gamma(state, hyper, new_gamma, CFG)[0],
+            "fit": fit(hyper, [block], CFG),
+            "new_state": new_state(hyper),
+            "rls_fit": rls_fit(hyper, [block]),
+        }
+        result = pdhg_solve(
+            n, [block], ProxSpec(kind="weighted_l1", weights=np.full(n, 0.1)),
+            PdhgConfig(max_iters=50), CFG,
+        )
+        values["pdhg_solve.solution"] = result.solution
+        values["pdhg_solve.state"] = result.state
+        return values, (gamma, theta0, p, q, bias, new_gamma)
+
+    def test_mutating_the_callers_arrays_changes_no_value(self):
+        values, callers = self._values()
+        before = {name: [a.copy() for a in self._arrays(v)] for name, v in values.items()}
+        for arr in callers:
+            arr += 1.0
+        for name, value in values.items():
+            for arr, old in zip(self._arrays(value), before[name], strict=True):
+                assert arr.tobytes() == old.tobytes(), name
+                assert not any(np.shares_memory(arr, c) for c in callers), name
+
+    def test_every_array_is_read_only(self):
+        values, _ = self._values()
+        for name, value in values.items():
+            assert self._arrays(value), name
+            for arr in self._arrays(value):
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
 
 
 class TestFlowInvariants:

@@ -95,6 +95,30 @@ class TestHyperparams:
         h = Hyperparams(gamma=[2.0, 4.0], theta0=[1.0, -0.5])
         np.testing.assert_array_equal(h.evaluation_point(), [2.0, -2.0])
 
+    @staticmethod
+    def _message(make):
+        with pytest.raises(ValueError) as exc:
+            make()
+        return str(exc.value)
+
+    @pytest.mark.parametrize(
+        "theta0", [[np.nan, 0.0], [0.0, -np.inf], [0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]]
+    )
+    def test_with_theta0_rejects_with_the_constructor_message(self, theta0):
+        h = Hyperparams(gamma=[1.0, 2.0], theta0=[0.0, 0.0])
+        expected = self._message(lambda: Hyperparams(gamma=h.gamma, theta0=theta0))
+        assert self._message(lambda: h.with_theta0(theta0)) == expected
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [[np.nan, 1.0], [1.0, np.inf], [0.0, 1.0], [1.0, -2.0], [np.nan, -1.0], [1.0],
+         [[1.0, 1.0]]],
+    )
+    def test_with_gamma_rejects_with_the_constructor_message(self, gamma):
+        h = Hyperparams(gamma=[1.0, 2.0], theta0=[0.5, 0.0])
+        expected = self._message(lambda: Hyperparams(gamma=gamma, theta0=h.theta0))
+        assert self._message(lambda: h.with_gamma(gamma)) == expected
+
 
 class TestNewState:
     def test_identity_gamma(self):
