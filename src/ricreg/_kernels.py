@@ -40,7 +40,6 @@ P always leaves a kernel exactly symmetric.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +55,9 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
     # then one of size last, written through the stage factors m_j (which
     # depend on g = step a s / 2 alone).  Returns c = sum_k (step_k / 6)
     # (m1^2 + 2 m2^2 + 2 m3^2 + m4^2) s_k^2, the RK4 integral of s^2 with
-    # s = 1 - c a, or NaN if the run blows up.  ``trail`` (an array('d')), if
-    # given, receives the running sum over the steps of size h, in units of h/6.
+    # s = 1 - c a, or NaN if the run blows up.  ``trail`` (a float64
+    # memoryview of length nsteps - 1), if given, receives at k the running
+    # sum after step k + 1 of size h, in units of h/6.
     s = 1.0
     c = 0.0
     inf = math.inf
@@ -65,7 +65,7 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
         half_ha = 0.5 * step * a
         ha6 = step * a / 6.0
         acc = 0.0
-        for _ in range(count):
+        for k in range(count):
             g = half_ha * s
             m2 = 1.0 - g
             m2sq = m2 * m2
@@ -78,7 +78,7 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
                 return math.nan
             s -= ha6 * w
             if record is not None:
-                record.append(acc)
+                record[k] = acc
         c += acc * (step / 6.0)
     return c
 
@@ -165,11 +165,12 @@ def _rk4_integrals(a, h, nsteps, last, fail_early, trail=False):
     # (None if the run blew up).
     if fail_early and h < 0.0:
         _check_backward(a, h, nsteps, last)
-    trails = [array("d") if trail else None for _ in a]
-    c = [_rk4_decay(ai, h, nsteps, last, t) for ai, t in zip(a, trails)]
-    if not trail or any(map(math.isnan, c)):
+    running = np.empty((len(a), nsteps - 1)) if trail else None
+    rows = map(memoryview, running) if trail else [None] * len(a)
+    c = [_rk4_decay(ai, h, nsteps, last, row) for ai, row in zip(a, rows)]
+    if running is None or any(map(math.isnan, c)):
         return c, None
-    running = np.array(trails).T
+    running = running.T
     running *= h / 6.0
     return c, running
 

@@ -68,15 +68,18 @@ def _parse_vector(text: str, n: int | None, flag: str) -> np.ndarray:
     return np.full(n, values[0])
 
 
-def _infer_n(blocks, gamma_text: str, theta0_text: str) -> int:
+def _infer_n(blocks, vectors: dict[str, str]) -> int:
+    # The first block's dimension, else the length of the first of the
+    # ``vectors`` (flag -> text) that is comma-separated.
     if blocks:
         return blocks[0].n
-    for text in (gamma_text, theta0_text):
+    for text in vectors.values():
         if "," in text:
             return len(text.split(","))
+    first, *rest = vectors
     raise _UsageError(
         "cannot infer the model dimension from an empty data file; "
-        "pass --gamma (or --theta0) as a comma-separated vector"
+        f"pass {first}{''.join(f' (or {flag})' for flag in rest)} as a comma-separated vector"
     )
 
 
@@ -180,7 +183,7 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     blocks = read_blocks(args.data)
-    n = _infer_n(blocks, args.gamma, args.theta0)
+    n = _infer_n(blocks, {"--gamma": args.gamma, "--theta0": args.theta0})
     hyper = Hyperparams(
         gamma=_parse_vector(args.gamma, n, "--gamma"),
         theta0=_parse_vector(args.theta0, n, "--theta0"),
@@ -290,12 +293,7 @@ def cmd_shift_bias(args) -> int:
 
 def cmd_pdhg(args) -> int:
     blocks = read_blocks(args.data)
-    if blocks:
-        n = blocks[0].n
-    elif "," in args.reg_weight:
-        n = len(args.reg_weight.split(","))
-    else:
-        raise _UsageError("cannot infer dimension: empty data and scalar --reg-weight")
+    n = _infer_n(blocks, {"--reg-weight": args.reg_weight})
     spec = pdhg.ProxSpec(
         kind="weighted_l1" if args.reg == "l1" else "weighted_l2_squared",
         weights=_parse_vector(args.reg_weight, n, "--reg-weight"),

@@ -28,6 +28,7 @@ from .model import (
     NumericsError,
     RiccatiState,
     _fitted_solution,
+    _frozen,
     _new_solution,
     _new_state,
     new_state,
@@ -82,36 +83,43 @@ class TraceRecord:
 
 
 class ParetoTrace:
-    """Ordered sequence of regularization-path points recorded during a sweep."""
+    """Ordered regularization-path points recorded during a sweep.
+
+    The points are held as read-only columns, one chunk per evaluation: the
+    labels, a (k, n) matrix of minimizers, the data fits and the
+    regularization norms.  ``records`` and iteration build each
+    ``TraceRecord`` on access, over a read-only row of the minimizers.
+    """
 
     def __init__(self):
-        self.records: list[TraceRecord] = []
+        self._chunks: list[tuple[np.ndarray, ...]] = []
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
+    @property
+    def records(self) -> list[TraceRecord]:
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(len(labels) for labels, *_ in self._chunks)
 
     def __iter__(self):
-        return iter(self.records)
+        for labels, theta, data_fit, reg_norm in self._chunks:
+            columns = labels.tolist(), theta, data_fit.tolist(), reg_norm.tolist()
+            yield from map(TraceRecord, *columns)
 
     def write_csv(self, path) -> None:
         """Columns: effective_param,data_fit,reg_norm,theta_0..theta_{n-1}."""
-        if not self.records:
+        if not self._chunks:
             raise ValueError("empty trace")
-        n = self.records[0].theta.shape[0]
+        n = self._chunks[0][1].shape[1]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["effective_param", "data_fit", "reg_norm"]
                 + [f"theta_{k}" for k in range(n)]
             )
-            for rec in self.records:
-                writer.writerow(
-                    [repr(rec.effective_hyperparam), repr(rec.data_fit), repr(rec.reg_norm)]
-                    + [repr(float(t)) for t in rec.theta]
-                )
+            for labels, theta, data_fit, reg_norm in self._chunks:
+                # csv writes every float as its repr.
+                writer.writerows(np.column_stack((labels, data_fit, reg_norm, theta)).tolist())
 
 
 def _sign_of(direction: str) -> float:
@@ -293,10 +301,7 @@ def _trace_points(trace, p0, q0, r0, w, bh, c, gammas, theta0):
     diff = theta - theta0
     data_fit = total - 0.5 * np.einsum("ij,ij,ij->i", gammas, diff, diff)
     reg_norm = 0.5 * np.einsum("ij,ij->i", diff, diff)
-    for label, th, fit_, reg in zip(
-        gammas.mean(axis=1).tolist(), theta, data_fit.tolist(), reg_norm.tolist()
-    ):
-        trace.append(TraceRecord(label, th, fit_, reg))
+    trace._chunks.append(tuple(map(_frozen, (gammas.mean(axis=1), theta, data_fit, reg_norm))))
 
 
 def _trace_point(trace, p, q, r, gamma_eff, theta0):
@@ -351,7 +356,8 @@ def tune_gamma(
     The returned state solves the problem under ``new_gamma`` (pair it with
     the returned Hyperparams when extracting the minimizer).  If ``trace`` is
     given, one point per RK4 step is recorded along the sweep, labelled by the
-    interpolated effective weights; this requires the loss accumulator.
+    interpolated effective weights and appended to the trace's read-only
+    columns in chunks; this requires the loss accumulator.
     """
     if state.n != hyper.n:
         raise ValueError("state and hyperparams dimension mismatch")

@@ -35,6 +35,7 @@ from .model import (
     DataBlock,
     Hyperparams,
     RiccatiState,
+    _adopt,
     _new_state,
     validate_block,
     weighted_rows,
@@ -59,7 +60,7 @@ class RlsState(RiccatiState):
 def _exact(state: RiccatiState, block: DataBlock, signed_lam: float, refusal: str) -> RlsState:
     validate_block(block, state.n)
     if block.lam == 0.0:
-        return state
+        return _adopt(RlsState, vars(state))  # the same frozen arrays, no eigh
 
     def run(p, q, r):
         return _kernels.exact_dense(p, q, r, block.phi, block.y, signed_lam, refusal).r

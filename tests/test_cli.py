@@ -209,6 +209,7 @@ class TestFit:
             ["fit", str(data), "--gamma", "1", "--out", str(tmp_path / "ck.json")]
         )
         assert code == 1
+        assert "pass --gamma (or --theta0) as a comma-separated vector" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record", ["[1, 2]", '{"phi": [[1.0]], "y": [1.0], "lambda": -1}'])
     def test_bad_record_is_usage_error_naming_its_line(self, tmp_path, capsys, record):
@@ -453,6 +454,19 @@ class TestPdhg:
              "--checkpoint", str(ck)]
         )
         assert code == 1
+
+    def test_empty_data_takes_the_dimension_from_the_reg_weight_vector(self, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        code, payload = run(capsys, "pdhg", str(data), "--reg", "l1", "--reg-weight", "0.1,0.2,0.3")
+        assert code == 0
+        assert payload["theta_star"] == [0.0, 0.0, 0.0]
+        code = main(["pdhg", str(data), "--reg", "l1", "--reg-weight", "0.1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot infer the model dimension from an empty data file; "
+            "pass --reg-weight as a comma-separated vector\n"
+        )
 
     def test_failed_inner_fit_names_it_and_the_exact_fit(self, sin_data, tmp_path, capsys):
         # gamma = 1/sigma_theta = 2 on sin10x is too stiff for the default step.

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from ricreg import (
     tune_gamma,
     tune_lambda,
 )
-from ricreg import _kernels
+from ricreg import _kernels, engine
 from ricreg.pdhg import PdhgConfig, ProxSpec, pdhg_solve
 from ricreg.problems import gen_sin10x, relative_l1, relative_l2
 from ricreg.bases import feature_matrix, get_basis
@@ -582,6 +583,16 @@ class TestTuneGamma:
         assert end.effective_hyperparam == float(np.mean(hyper.gamma))
         assert trace.records[-1].effective_hyperparam == float(np.mean(new_gamma))
 
+    def test_trace_records_are_read_only(self):
+        # Writing to one record's theta must not change its neighbours.
+        st, hyper, new_gamma = self._sweep_case("mixed")
+        trace = ParetoTrace()
+        tune_gamma(st, hyper, new_gamma, IntegrationConfig(step_h=1e-3), trace)
+        for rec in trace:
+            assert not rec.theta.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rec.theta[0] = 0.0
+
     def test_trace_requires_loss_accumulator(self):
         rng = np.random.default_rng(35)
         hyper, blocks = rand_problem(rng)
@@ -596,6 +607,106 @@ class TestTuneGamma:
         st = fit(hyper, blocks, CFG)
         with pytest.raises(ValueError):
             tune_gamma(st, hyper, 0.0 * hyper.gamma, CFG)
+
+
+class _RecordTrace:
+    """The trace as one ``TraceRecord`` per point, with the record-based CSV
+    writer: the reference for the columnar ``ParetoTrace``."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+    def write_csv(self, path):
+        n = self.records[0].theta.shape[0]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["effective_param", "data_fit", "reg_norm"]
+                + [f"theta_{k}" for k in range(n)]
+            )
+            for rec in self.records:
+                writer.writerow(
+                    [repr(rec.effective_hyperparam), repr(rec.data_fit), repr(rec.reg_norm)]
+                    + [repr(float(t)) for t in rec.theta]
+                )
+
+
+def _trace_points_per_record(trace, p0, q0, r0, w, bh, c, gammas, theta0):
+    """``engine._trace_points`` appending one ``TraceRecord`` per point."""
+    x = gammas * theta0
+    z = x.dot(w)
+    theta = x.dot(p0.T) + q0 - (c * (z + bh)).dot(w.T)
+    qx = x.dot(q0) - (c * z).dot(bh)
+    r = r0 - 0.5 * c.dot(bh * bh)
+    s_value = 0.5 * (np.einsum("ij,ij->i", x, theta) + qx) + r
+    total = -s_value + 0.5 * x.dot(theta0)
+    diff = theta - theta0
+    data_fit = total - 0.5 * np.einsum("ij,ij,ij->i", gammas, diff, diff)
+    reg_norm = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    for label, th, fit_, reg in zip(
+        gammas.mean(axis=1).tolist(), theta, data_fit.tolist(), reg_norm.tolist()
+    ):
+        trace.append(engine.TraceRecord(label, th, fit_, reg))
+
+
+class TestTraceReference:
+    """The columnar trace holds, bit for bit, the points and CSV bytes of the
+    per-record trace: the same sweeps, run once more with
+    ``engine._trace_points`` replaced by ``_trace_points_per_record``."""
+
+    @staticmethod
+    def _case(kind):
+        # The targets of consecutive tune_gamma calls, their step size and
+        # the number of trace points.
+        rng = np.random.default_rng(41)
+        hyper, blocks = rand_problem(rng, n=6)
+        st = fit(hyper, blocks, CFG)
+        mixed = np.where(np.arange(6) % 2 == 0, 3.0, 0.25)
+        targets, h, points = {
+            "forward": ([3.0 * hyper.gamma], 0.03, 35),
+            "backward": ([0.1 * hyper.gamma], 0.03, 35),
+            "mixed": ([mixed], 0.03, 69),
+            "no-change": ([hyper.gamma], 0.03, 1),
+            # 500 steps a phase: two evaluation chunks each.
+            "long": ([mixed], 2e-3, 1001),
+            # 15 steps a phase: down, then up, then both.
+            "chained": ([0.1 * hyper.gamma, mixed, hyper.gamma], 0.07, 16 + 16 + 31),
+        }[kind]
+        return st, hyper, targets, IntegrationConfig(step_h=h), points
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["forward", "backward", "mixed", "no-change", "long", "chained"]
+    )
+    def test_columns_and_csv_match_per_record_trace(self, kind, tmp_path, monkeypatch):
+        st, hyper, targets, cfg, points = self._case(kind)
+
+        def sweep(trace):
+            state, hyp = st, hyper
+            for target in targets:
+                state, hyp = tune_gamma(state, hyp, target, cfg, trace)
+            return trace
+
+        trace = sweep(ParetoTrace())
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_trace_points", _trace_points_per_record)
+            reference = sweep(_RecordTrace())
+        got, want = trace.records, reference.records
+        assert len(trace) == len(got) == len(want) == points
+        for field in ("effective_hyperparam", "data_fit", "reg_norm"):
+            assert self._bits([getattr(rec, field) for rec in got]) == self._bits(
+                [getattr(rec, field) for rec in want]
+            ), field
+        assert self._bits([rec.theta for rec in got]) == self._bits([rec.theta for rec in want])
+        trace.write_csv(tmp_path / "columns.csv")
+        reference.write_csv(tmp_path / "records.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
 
 class TestUntrackedState:

@@ -21,6 +21,7 @@ from ricreg import (
     rls_remove,
     solve_direct,
 )
+from ricreg import _kernels
 from ricreg.problems import relative_l1
 
 
@@ -41,7 +42,9 @@ class TestRlsAdd:
     def test_zero_weight_is_noop(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
         st = new_state(hyper)
-        assert rls_add(st, DataBlock(phi=[[1.0, 1.0]], y=[1.0], lam=0.0)) is st
+        out = rls_add(st, DataBlock(phi=[[1.0, 1.0]], y=[1.0], lam=0.0))
+        assert out.p is st.p and out.q is st.q
+        assert (out.r, out.elapsed) == (st.r, st.elapsed)
 
     def test_hand_computed_scalar_update(self):
         # p0 = 1, phi = [1], y = [1], lam = 1:
@@ -93,6 +96,24 @@ class TestRlsRemove:
         st2 = rls_remove(st, blocks[1])
         oracle = solve_direct(hyper, blocks[:1])
         assert relative_l1(st2.theta_star(hyper), oracle.theta_star) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [0.25, None])
+@pytest.mark.parametrize("op", [rls_add, rls_remove])
+def test_zero_weight_returns_an_rls_state_over_the_same_arrays(op, r, monkeypatch):
+    # Whether the result is an RlsState must not depend on the block's weight.
+    hyper = Hyperparams(gamma=[1.0, 2.0], theta0=[0.5, -1.0])
+    state = RiccatiState(p=[[0.5, 0.1], [0.1, 0.4]], q=[0.2, -0.3], r=r, elapsed=1.5)
+
+    def refuse(*args):
+        raise AssertionError("a zero-weight block ran an update")
+
+    monkeypatch.setattr(_kernels, "exact_dense", refuse)
+    out = op(state, DataBlock(phi=[[1.0, 2.0], [0.5, -1.0]], y=[1.0, 0.0], lam=0.0))
+    assert type(out) is RlsState
+    assert out.p is state.p and out.q is state.q
+    assert (out.r, out.elapsed) == (r, 1.5)
+    assert np.array_equal(out.theta_star(hyper), state.p @ hyper.evaluation_point() + state.q)
 
 
 class TestRlsInvariants:
