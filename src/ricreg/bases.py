@@ -20,16 +20,18 @@ Every entry equals what Python's scalar arithmetic gives for that point, so
 generated data and evaluations do not depend on how many points a call
 takes. The sin/cos columns are ``np.sin``/``np.cos`` of the scaled grid; the
 tests check them bit for bit against ``math.sin``/``math.cos``. Powers x^p
-with p >= 2 still go through Python's ``**`` point by point, because NumPy's
-SIMD ``power`` differs from libm's ``pow`` in the last bit (x^3 on 55 of the
-1001 points of linspace(0, 10, 1001), with NumPy 2.4 on x86-64); x^0 = 1 and
-x^1 = x are exact.
+with p >= 2 still go through Python's ``float.__pow__`` point by point
+(``np.fromiter`` over ``map(pow, ...)``, the call ``x ** p`` makes), because
+NumPy's SIMD ``power`` differs from libm's ``pow`` in the last bit (x^3 on 55
+of the 1001 points of linspace(0, 10, 1001), with NumPy 2.4 on x86-64);
+x^0 = 1 and x^1 = x are exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -72,7 +74,7 @@ def _power(x: np.ndarray, points: list, p: int):
         return 1.0
     if p == 1:
         return x
-    return np.array([v**p for v in points])
+    return np.fromiter(map(pow, points, repeat(p)), float, len(points))
 
 
 def _poly_trig() -> BasisSet:

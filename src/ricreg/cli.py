@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -365,41 +368,65 @@ def _blank(row: list) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
+def _truth_column(path, first: list, column: str | None) -> tuple[int, bool]:
+    """The index of the column to read, and whether ``first`` is a header."""
+    try:
+        [float(v) for v in first]
+    except ValueError:  # a header row
+        if column is not None and column not in first:
+            raise ValueError(f"{path}: no column {column!r} in {first}")
+        return (len(first) - 1 if column is None else first.index(column)), True
+    return len(first) - 1, False
+
+
 def _read_truth_csv(path, column: str | None) -> np.ndarray:
-    """One column of a truth CSV, read in one pass; blank lines are skipped.
+    """One column of a truth CSV, read in one bulk pass; blank lines are skipped.
 
     A first row that parses as numbers is data (the file has no header) and
     its last column is read; otherwise it is the header, and ``column`` (by
-    default the last one) is read.  A short row or a value ``float`` cannot
-    parse raises ``ValueError`` naming the file and line.
+    default the last one) is read.  The lines split at CRLF, CR and LF, as
+    csv splits them, and ``np.loadtxt`` parses the column with the routine
+    ``float`` uses.  Text with a quote or a NUL, and any file that pass
+    cannot take whole, goes through a ``csv.reader`` loop over the same text
+    instead: it accepts what ``float`` accepts, and raises ``ValueError``
+    naming the file and line for a short row or a value that is not finite.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next((row for row in reader if not _blank(row)), None)
-        if first is None:
-            raise ValueError(f"{path}: empty truth file")
+        text = fh.read()
+    # csv before Python 3.11 refuses a NUL, so a NUL also goes to the row loop
+    lines = [] if '"' in text or "\0" in text else list(
+        filter(str.strip, text.replace("\r", "\n").split("\n")))
+    # csv's limit is per field: a longer line goes to the row loop
+    if lines and max(map(len, lines)) <= csv.field_size_limit():
+        idx, header = _truth_column(path, lines[0].split(","), column)
         try:
-            values = [float(v) for v in first]
-        except ValueError:  # a header row
-            if column is not None and column not in first:
-                raise ValueError(f"{path}: no column {column!r} in {first}")
-            idx = first.index(column) if column is not None else len(first) - 1
-            values = []
-        else:
-            idx = len(first) - 1
-            values = [values[idx]]
-        for row in reader:
-            try:
-                values.append(float(row[idx]))
-            except (IndexError, ValueError):
-                if _blank(row):
-                    continue
-                if len(row) <= idx:
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: short row: expected at least "
-                        f"{idx + 1} columns, got {len(row)}"
-                    ) from None
-                raise ValueError(f"{path}:{reader.line_num}: not a number: {row[idx]!r}") from None
+            values = np.loadtxt(lines[header:], delimiter=",", usecols=idx, comments=None,
+                                ndmin=1) if len(lines) > header else None
+        except ValueError:  # a short row or a value loadtxt cannot parse
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values
+    reader = csv.reader(io.StringIO(text, newline=""))
+    first = next((row for row in reader if not _blank(row)), None)
+    if first is None:
+        raise ValueError(f"{path}: empty truth file")
+    idx, header = _truth_column(path, first, column)
+    values = []
+    for row in reader if header else itertools.chain([first], reader):
+        try:
+            value = float(row[idx])
+        except (IndexError, ValueError):
+            if _blank(row):
+                continue
+            if len(row) <= idx:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: short row: expected at least "
+                    f"{idx + 1} columns, got {len(row)}"
+                ) from None
+            raise ValueError(f"{path}:{reader.line_num}: not a number: {row[idx]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{reader.line_num}: not a finite number: {row[idx]!r}")
+        values.append(value)
     return np.array(values)
 
 

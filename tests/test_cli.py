@@ -1,3 +1,5 @@
+import ast
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ricreg import DataBlock, cli, read_checkpoint, solve_direct, write_blocks
 from ricreg.cli import main
@@ -576,7 +580,11 @@ class TestTruthCsv:
         ("0.0,1.0\n0.5\n1.0,2.0\n", 2, "short row: expected at least 2 columns, got 1"),
         ("x,y\n0.0,1.0\n0.5,abc\n1.0,2.0\n", 3, "not a number: 'abc'"),
         ("x,y\n0.0,1.0\n0.5,\n1.0,2.0\n", 3, "not a number: ''"),
-    ], ids=["blank-then-short", "short-of-three", "headerless-short", "letters", "empty-field"])
+        ("x,y\n0.0,1.0\n0.5,nan\n1.0,2.0\n", 3, "not a finite number: 'nan'"),
+        ("x,y\n0.0,1.0\n0.5,inf\n1.0,2.0\n", 3, "not a finite number: 'inf'"),
+        ("x,y\n0.0,1.0\n0.5,1e500\n1.0,2.0\n", 3, "not a finite number: '1e500'"),
+    ], ids=["blank-then-short", "short-of-three", "headerless-short", "letters", "empty-field",
+            "nan", "inf", "overflow"])
     def test_bad_row_is_input_error_naming_its_line(self, ck, tmp_path, capsys, text, line,
                                                     message):
         truth = tmp_path / "bad.csv"
@@ -600,6 +608,215 @@ class TestTruthCsv:
         code, out, err = self._eval(capsys, ck, truth)
         assert code == cli.EXIT_USAGE
         assert err == f"error: {truth}: empty truth file\n"
+
+
+# The truth reader as it was before the bulk pass, kept verbatim as the
+# reference: the reader must return the same bits or raise the same error.
+def _blank(row: list) -> bool:
+    """A CSV row of a blank line: no field, or one field of whitespace."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _read_truth_csv(path, column: str | None) -> np.ndarray:
+    """One column of a truth CSV, read in one pass; blank lines are skipped.
+
+    A first row that parses as numbers is data (the file has no header) and
+    its last column is read; otherwise it is the header, and ``column`` (by
+    default the last one) is read.  A short row or a value ``float`` cannot
+    parse raises ``ValueError`` naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next((row for row in reader if not _blank(row)), None)
+        if first is None:
+            raise ValueError(f"{path}: empty truth file")
+        try:
+            values = [float(v) for v in first]
+        except ValueError:  # a header row
+            if column is not None and column not in first:
+                raise ValueError(f"{path}: no column {column!r} in {first}")
+            idx = first.index(column) if column is not None else len(first) - 1
+            values = []
+        else:
+            idx = len(first) - 1
+            values = [values[idx]]
+        for row in reader:
+            try:
+                values.append(float(row[idx]))
+            except (IndexError, ValueError):
+                if _blank(row):
+                    continue
+                if len(row) <= idx:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: short row: expected at least "
+                        f"{idx + 1} columns, got {len(row)}"
+                    ) from None
+                raise ValueError(f"{path}:{reader.line_num}: not a number: {row[idx]!r}") from None
+    return np.array(values)
+
+
+def _write_truth(tmp_path, text):
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _line_of(error, path):
+    """The line number an error of the reader names, or None."""
+    head, sep, rest = str(error).partition(f"{path}:")
+    number = rest.split(":", 1)[0]
+    return int(number) if not head and sep and number.isdigit() else None
+
+
+def _assert_reader_matches_reference(path, column):
+    """The reader returns the reference's bits or raises its error, except
+    that it refuses a non-finite value, at its line, where the reference took
+    it or failed on a later line."""
+    try:
+        expected, error = _read_truth_csv(path, column), None
+    except Exception as exc:
+        expected, error = None, exc
+    try:
+        got = cli._read_truth_csv(path, column)
+    except Exception as exc:
+        cell = str(exc).partition(": not a finite number: ")[2]
+        line = _line_of(exc, path)
+        if cell and line is not None and (
+            error is None and not np.isfinite(expected).all()
+            or error is not None and (_line_of(error, path) or 0) > line
+        ):
+            assert not np.isfinite(float(ast.literal_eval(cell)))
+            return
+        assert error is not None, f"the reference read {expected!r}"
+        assert (type(exc), str(exc)) == (type(error), str(error))
+        return
+    assert error is None, f"the reference raised {error!r}"
+    assert np.isfinite(expected).all()
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+_DIGITS = ["0.0", "1.5", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-310",
+           "0.30000000000000004", "1.2345678901234567e+300", "9007199254740993"]
+_ODD = ["", "abc", "1_0", " 1.5 ", "\t2\t", "\x0c1.5", "1.5\x85", "1\x855", "\x0c", "\u0661",
+        "nan", "-inf", "1e500", "0x10", "1.5#2", "#", '"2.5"', '"a,b"', '""', "1\x00"]
+
+
+def _table(columns, rows, end, final=True):
+    return end.join([",".join(columns), *(",".join(row) for row in rows)]) + (end if final else "")
+
+
+_CASES = {
+    "lf": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\n"),
+    "crlf": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\r\n"),
+    "cr": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\r"),
+    "lf-no-final": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\n", final=False),
+    "crlf-no-final": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\r\n", final=False),
+    "cr-no-final": _table("xy", [["0", "1.5"], ["1", "2.5"]], "\r", final=False),
+    "mixed-ends": "x,y\r\n0,1\r1,2\n2,3\r\r\n3,4",
+    "headerless": "0,1.5\n1,2.5\n",
+    "headerless-crlf": "0,1.5,7\r\n1,2.5,8\r\n",
+    "header-only": "x,y\n",
+    "blank-everywhere": "\n  \n\t\nx,y\n\n0,1\n \n\x0c\n1,2\n\n\n  ",
+    "blank-crlf": "\r\n \r\nx,y\r\n\r\n0,1\r\n  \r\n1,2\r\n\r\n",
+    "headerless-after-blanks": "\n\n  \n0,1\n\n1,2\n",
+    "three-columns": _table("xuf", [["0", "1", "2"], ["3", "4", "5"]], "\r\n"),
+    "four-columns": _table("abcd", [["0", "1", "2", "3"], ["4", "5", "6", "7"]], "\n"),
+    "quoted-cell": 'x,y\n0,"1.5"\n1,2.5\n',
+    "quoted-header": '"x","y"\n0,1.5\n',
+    "quoted-comma": 'x,y,z\n"0,5",1.5,2\n1,2.5,3\n',
+    "quoted-bad": 'x,y\n0,"1.5\n1,2.5\n',
+    "short-row": "x,y,z\n0,1,2\n3,4\n5,6,7\n",
+    "long-row": "x,y\n0,1\n2,3,4\n5,6\n",
+    "short-and-long": "x,y\n0,1,2\n3\n",
+    "long-headerless": "0,1\n2,3,4\n",
+    "one-column": "y\n1\n2\n",
+    "one-column-blank": "y\n1\n  \n2\n",
+    "header-of-numbers-and-text": "0,abc\n1,2\n",
+    "empty": "",
+    "only-blank": "\n \r\n\t\r",
+    "form-feed-in-line": "x,y\n0,1\x0c2\n",
+    "nel-in-line": "x,y\n0,1\x852\n",
+    "vertical-tab": "x,y\n0,1\x0b\n1,\x0b2\n",
+    "line-separator": "x,y\n0,1\u2028\n",
+    "nul": "x,y\n0\x00,1\n",
+    "bom": "\ufeffx,y\n0,1\n",
+    "long-field": "x,y\n0," + "0" * 131072 + "1\n1,2\n",
+    "long-other-field": "x,y\n" + "0" * 131073 + ",1\n1,2\n",
+}
+_CASES.update({f"cell-{cell!r}": f"x,y\n0,1.5\n1,{cell}\n2,2.5\n" for cell in _DIGITS + _ODD})
+_CASES.update({f"first-cell-{cell!r}": f"{cell},0\n1,2\n" for cell in _DIGITS + _ODD})
+
+
+class TestTruthCsvMatchesReference:
+    """The bulk reader against the row-by-row reference above."""
+
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_corpus(self, tmp_path, name):
+        path = _write_truth(tmp_path, _CASES[name])
+        for column in (None, "x", "y", "u", "f", "a", "d", "w"):
+            _assert_reader_matches_reference(path, column)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=hst.booleans(),
+        width=hst.integers(1, 4),
+        rows=hst.lists(
+            hst.one_of(
+                hst.lists(hst.sampled_from(_DIGITS + _ODD), min_size=0, max_size=5),
+                hst.lists(hst.floats(allow_nan=False, allow_infinity=False).map(repr),
+                          min_size=1, max_size=4),
+                hst.lists(hst.text("0123456789.eE+-_ \tnaifx\x0c\x85", max_size=8),
+                          min_size=1, max_size=4),
+                hst.sampled_from([[], [" "], ["\t"], ["\x0c"], ["\x85"]]),
+            ),
+            max_size=8,
+        ),
+        ends=hst.lists(hst.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+        final=hst.booleans(),
+        column=hst.sampled_from([None, "a", "b", "c", "d", "e"]),
+    )
+    def test_random_files(self, tmp_path_factory, header, width, rows, ends, final, column):
+        lines = ([",".join("abcd"[:width])] if header else []) + [",".join(r) for r in rows]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        if not final and text:
+            text = text[: -len(ends[(len(lines) - 1) % len(ends)])]
+        _assert_reader_matches_reference(_write_truth(tmp_path_factory.mktemp("t"), text), column)
+
+    @pytest.mark.parametrize("name, row_loop", [
+        ("blank-crlf", False), ("quoted-cell", True), ("nul", True)])
+    def test_row_loop_runs_only_for_quoted_or_nul_text(self, tmp_path, monkeypatch,
+                                                        name, row_loop):
+        # csv before Python 3.11 refuses a NUL anywhere in a line, so such text
+        # must reach csv.reader for the result to match on every version
+        path = _write_truth(tmp_path, _CASES[name])
+        expected = _read_truth_csv(path, "y")
+        calls, reader = [], csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(cli.csv, "reader", counting_reader)
+        assert np.array_equal(cli._read_truth_csv(path, "y"), expected)
+        assert len(calls) == (1 if row_loop else 0)
+
+    @pytest.mark.parametrize("name", ["crlf", "quoted-cell", "short-row", "cell-'nan'"])
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, name):
+        path = _write_truth(tmp_path, _CASES[name])
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        try:
+            cli._read_truth_csv(path, None)
+        except ValueError:
+            pass
+        assert opened == [path]
 
 
 class TestBenchCommand:

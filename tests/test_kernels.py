@@ -8,8 +8,12 @@ three floats with the same arithmetic as the array reference
 `_integrate_ko_numpy`, and must match it bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ricreg import _kernels
 
@@ -395,3 +399,32 @@ class TestTrajectoryKernel:
         assert not np.shares_memory(got, x0)
         got[0, 0] = 2.0
         assert x0[0] == 1.0
+
+
+def _decay_order_ratio(a, t, ha):
+    """The error of ``_rk4_decay`` against the closed form t / (1 + a t), at the
+    step h = t / N with |h| a <= ha and N >= 8, over its error at h / 2."""
+    nsteps = max(8, math.ceil(a * abs(t) / ha))
+    h = t / nsteps
+    exact = t / (1.0 + a * t)
+    coarse = abs(_kernels._rk4_decay(a, h, nsteps, h) - exact)
+    fine = abs(_kernels._rk4_decay(a, h / 2, 2 * nsteps, h / 2) - exact)
+    assume(fine >= 1e-11 * abs(exact))  # below that, rounding blurs the ratio
+    return coarse / fine
+
+
+class TestDecayOrder:
+    """RK4 converges at order 4: halving the step divides the error by 16."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=hst.floats(0.1, 10.0), duration=hst.floats(0.1, 2.0), ha=hst.floats(0.02, 0.1))
+    def test_forward(self, a, duration, ha):
+        assert 15.0 <= _decay_order_ratio(a, duration, ha) <= 17.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=hst.floats(0.1, 10.0), reach=hst.floats(0.05, 0.8), ha=hst.floats(0.02, 0.1))
+    def test_backward(self, a, reach, ha):
+        # A backward run of length T = reach / a grows s to 1 / (1 - a T), so
+        # the bound is on the last step's h a s; |h| a <= 0.1 alone lets the
+        # ratio fall to 13.7 near a T = 0.8.
+        assert 15.0 <= _decay_order_ratio(a, -reach / a, ha * (1.0 - reach)) <= 17.0
