@@ -4,6 +4,8 @@ Every generator is a pure function of its arguments; randomness comes from
 :class:`ricreg.rng.Xoshiro256pp` only, so the same seed reproduces the same
 byte stream on any platform.  Noise deviates are drawn even when the noise
 scale is zero, keeping sample locations independent of the noise setting.
+Each stream (each KO equation) is the views of one checked row stack: bit for
+bit one constructor call per row, with its error for a bad value.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .bases import feature_matrix, get_basis, residual_matrix
-from .model import DataBlock
+from .model import _block_views
 from .rng import Xoshiro256pp
 
 __all__ = [
@@ -73,9 +75,8 @@ def gen_sin10x(count: int, seed: int, noise_scale: float = 1.0) -> GeneratedProb
     xs, eps = _draw_points(Xoshiro256pp(seed), count, 10.0)
     blocks = []
     if count:
-        rows = feature_matrix(basis, xs)
         ys = np.sin(10.0 * xs) + noise_scale * eps
-        blocks = [DataBlock(phi=row[None, :], y=[y]) for row, y in zip(rows, ys.tolist())]
+        blocks = _block_views(feature_matrix(basis, xs), ys, [1.0] * count, range(count + 1))
     return GeneratedProblem(
         blocks=tuple(blocks),
         basis_name=basis.name,
@@ -113,16 +114,15 @@ def gen_reaction_diffusion(
         raise ValueError("lambda_b must be >= 0")
     basis = get_basis("fourier-21")
     xs, eps = _draw_points(Xoshiro256pp(seed), count, 1.0)
-    blocks = []
+    rows, targets = [feature_matrix(basis, [0.0, 1.0])], [0.0, 0.0]
     if count:
-        rows = residual_matrix(basis, xs, REACTION_DIFFUSIVITY, REACTION_RATE)
+        rows.insert(0, residual_matrix(basis, xs, REACTION_DIFFUSIVITY, REACTION_RATE))
         # The source per point: on a whole array NumPy's power (s**3) can
         # round differently from the scalar one.
-        f_meas = [float(_reaction_source(x)) + noise_scale * e
-                  for x, e in zip(xs.tolist(), eps.tolist())]
-        blocks = [DataBlock(phi=row[None, :], y=[f]) for row, f in zip(rows, f_meas)]
-    for row in feature_matrix(basis, [0.0, 1.0]):
-        blocks.append(DataBlock(phi=row[None, :], y=[0.0], lam=lambda_b))
+        targets[:0] = [float(_reaction_source(x)) + noise_scale * e
+                       for x, e in zip(xs.tolist(), eps.tolist())]
+    blocks = _block_views(np.concatenate(rows), np.array(targets, dtype=float),
+                          [1.0] * count + [float(lambda_b)] * 2, range(count + 3))
     return GeneratedProblem(
         blocks=tuple(blocks),
         basis_name=basis.name,
@@ -193,12 +193,14 @@ def gen_ko(
     basis = get_basis("quad-monomial-3d")
     rows = feature_matrix(basis, states[sample_idx])
     dys = (states[sample_idx + offset] - states[sample_idx - offset]) / (2.0 * fd_h)
-    equations = ([], [], [])
-    for row, dy in zip(rows, dys.tolist()):
-        for i in range(3):
-            equations[i].append(DataBlock(phi=row[None, :], y=[dy[i]]))
+    # One stack per equation, so that no two blocks share memory.
+    equations = tuple(
+        tuple(_block_views(rows.copy(), dys[:, i].copy(), [1.0] * grid_count,
+                           range(grid_count + 1)))
+        for i in range(3)
+    )
     return KoProblem(
-        equations=tuple(tuple(eq) for eq in equations),
+        equations=equations,
         basis_name=basis.name,
         times=times,
         states=states,

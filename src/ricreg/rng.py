@@ -4,9 +4,10 @@ All randomness in the problem generators flows through :class:`Xoshiro256pp`
 so that identical seeds produce bit-identical data streams on every platform.
 The generator is specified completely:
 
-* State initialization: the 64-bit seed is expanded into four 64-bit state
-  words with SplitMix64 (``z += 0x9E3779B97F4A7C15`` then two xor-shift
-  multiplies per output word).
+* State initialization: the seed, an integer in [0, 2**64 - 1] (any other
+  is refused), is expanded into four 64-bit state words with SplitMix64
+  (``z += 0x9E3779B97F4A7C15`` then two xor-shift multiplies per output
+  word).
 * Raw stream: xoshiro256++ (Blackman/Vigna), output
   ``rotl(s0 + s3, 23) + s0``.
 * ``uniform()``: the top 53 bits of one raw output, mapped to [0, 1) as
@@ -32,18 +33,16 @@ def _splitmix64(z: int):
     return x ^ (x >> 31), z
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256pp:
     """xoshiro256++ with SplitMix64 seeding and Box-Muller gaussians."""
 
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if seed > _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
         state = []
-        z = seed & _MASK64
+        z = seed
         for _ in range(4):
             word, z = _splitmix64(z)
             state.append(word)
@@ -52,14 +51,16 @@ class Xoshiro256pp:
     def next_raw(self) -> int:
         """Next 64-bit word of the raw stream."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+        # The rotations rotl(x, k) = (x << k | x >> (64 - k)) mod 2**64, inline.
+        x = (s0 + s3) & _MASK64
+        result = ((x << 23 | x >> 41) + s0) & _MASK64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
         self._s = [s0, s1, s2, s3]
         return result
 

@@ -848,6 +848,15 @@ class TestExitCodes:
         assert main(argv + ["--seed", "0"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["sin10x", "reaction-diffusion"])
+    def test_seed_above_u64_is_refused(self, tmp_path, capsys, problem):
+        # 2**64 used to give the stream of seed 0 under a manifest naming 2**64.
+        out = tmp_path / "big.jsonl"
+        argv = ["gen", problem, "--count", "3", "--seed", str(2**64), "--out", str(out)]
+        assert main(argv) == 1
+        assert "2**64 - 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     """``main`` parses with one parser per process; each call must behave as

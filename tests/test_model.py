@@ -406,3 +406,22 @@ class TestBlockStreamFormat:
         path.write_text('{"phi": [[1.0]], "y": [1.0]}\n\n' + record + "\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:3: bad block record: .*{message}"):
             read_blocks(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"phi": [[1.0]], "y": [1.0]}   x',
+        '{"phi": [[1.0]], "y": [1.0]}{"phi": [[2.0]], "y": [2.0]}',
+        '{"phi": [[1.0]], "y": [1.0]} {"phi": [[2.0]], "y": [2.0]}',
+        '\ufeff{"phi": [[1.0]], "y": [1.0]}',
+        '{"phi": [[1.0]], "y": [1.0]',
+        "nan",
+    ])
+    def test_undecodable_line_raises_the_json_loads_message(self, tmp_path, record):
+        # Lines are decoded with raw_decode; one that is not exactly one JSON
+        # value gets json.loads's error.
+        with pytest.raises(json.JSONDecodeError) as loads:
+            json.loads(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"phi": [[1.0]], "y": [1.0]}\n\n  ' + record + " \n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_blocks(path)
+        assert str(exc.value) == f"{path}:3: bad block record: {loads.value}"

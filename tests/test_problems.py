@@ -1,12 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ricreg import Hyperparams, solve_direct
-from ricreg.bases import feature_row, get_basis
+from ricreg import DataBlock, Hyperparams, solve_direct, write_blocks
+from ricreg import _kernels
+from ricreg.bases import feature_matrix, feature_row, get_basis, residual_matrix
 from ricreg.problems import (
+    KO_HORIZON,
     KO_INITIAL,
+    REACTION_DIFFUSIVITY,
+    REACTION_RATE,
+    GeneratedProblem,
+    KoProblem,
+    _draw_points,
+    _reaction_solution,
+    _reaction_source,
     gen_ko,
     gen_reaction_diffusion,
     gen_sin10x,
@@ -15,7 +25,35 @@ from ricreg.problems import (
     relative_l2,
     simulate_quadratic_system,
 )
-from ricreg.rng import Xoshiro256pp
+from ricreg.rng import _MASK64, Xoshiro256pp, _splitmix64
+
+
+# The raw stream as it was first written, with its rotation as a function:
+# the reference for the inlined ``next_raw``.
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _reference_words(seed: int, count: int) -> list:
+    state = []
+    z = seed & _MASK64
+    for _ in range(4):
+        word, z = _splitmix64(z)
+        state.append(word)
+    words = []
+    for _ in range(count):
+        s0, s1, s2, s3 = state
+        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl(s3, 45)
+        state = [s0, s1, s2, s3]
+        words.append(result)
+    return words
 
 
 class TestRngStream:
@@ -40,8 +78,25 @@ class TestRngStream:
         assert abs(gs.std() - 1.0) < 0.03
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
             Xoshiro256pp(-1)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 2**70])
+    def test_rejects_seed_above_u64(self, seed):
+        # Masking would alias these to seed mod 2**64.
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+            Xoshiro256pp(seed)
+
+    def test_known_answer(self):
+        rng = Xoshiro256pp(0)
+        rng._s = [1, 2, 3, 4]
+        # rotl(1 + 4, 23) + 1, then the same on the advanced state.
+        assert [rng.next_raw(), rng.next_raw()] == [41943041, 58720359]
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+    def test_raw_stream_matches_reference(self, seed):
+        rng = Xoshiro256pp(seed)
+        assert [rng.next_raw() for _ in range(10_000)] == _reference_words(seed, 10_000)
 
 
 class TestGenSin10x:
@@ -230,3 +285,180 @@ class TestMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             relative_l2([1.0, 2.0], [1.0])
+
+
+# ---------------------------------------------------------------------------
+# The generators as they were first written, one DataBlock constructor call
+# per row: the reference for the stacked generators.
+# ---------------------------------------------------------------------------
+
+
+def _reference_gen_sin10x(count: int, seed: int, noise_scale: float = 1.0) -> GeneratedProblem:
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    basis = get_basis("poly-trig-10")
+    xs, eps = _draw_points(Xoshiro256pp(seed), count, 10.0)
+    blocks = []
+    if count:
+        rows = feature_matrix(basis, xs)
+        ys = np.sin(10.0 * xs) + noise_scale * eps
+        blocks = [DataBlock(phi=row[None, :], y=[y]) for row, y in zip(rows, ys.tolist())]
+    return GeneratedProblem(
+        blocks=tuple(blocks),
+        basis_name=basis.name,
+        truth={"y": lambda x: np.sin(10.0 * np.asarray(x, dtype=float))},
+        eval_grid=np.linspace(0.0, 10.0, 1001),
+        rng_seed=seed,
+    )
+
+
+def _reference_gen_reaction_diffusion(
+    count: int, seed: int, noise_scale: float = 0.1, lambda_b: float = 1.0
+) -> GeneratedProblem:
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if lambda_b < 0:
+        raise ValueError("lambda_b must be >= 0")
+    basis = get_basis("fourier-21")
+    xs, eps = _draw_points(Xoshiro256pp(seed), count, 1.0)
+    blocks = []
+    if count:
+        rows = residual_matrix(basis, xs, REACTION_DIFFUSIVITY, REACTION_RATE)
+        # The source per point: on a whole array NumPy's power (s**3) can
+        # round differently from the scalar one.
+        f_meas = [float(_reaction_source(x)) + noise_scale * e
+                  for x, e in zip(xs.tolist(), eps.tolist())]
+        blocks = [DataBlock(phi=row[None, :], y=[f]) for row, f in zip(rows, f_meas)]
+    for row in feature_matrix(basis, [0.0, 1.0]):
+        blocks.append(DataBlock(phi=row[None, :], y=[0.0], lam=lambda_b))
+    return GeneratedProblem(
+        blocks=tuple(blocks),
+        basis_name=basis.name,
+        truth={"u": _reaction_solution, "f": _reaction_source},
+        eval_grid=np.linspace(0.0, 1.0, 257),
+        rng_seed=seed,
+    )
+
+
+def _reference_gen_ko(
+    grid_count: int = 1000, solver_h: float = 1e-4, fd_h: float = 1e-3
+) -> KoProblem:
+    if solver_h <= 0 or fd_h <= 0:
+        raise ValueError("solver_h and fd_h must be positive")
+    if grid_count < 1:
+        raise ValueError("grid_count must be >= 1")
+    offset = int(round(fd_h / solver_h))
+    if offset < 1 or abs(offset * solver_h - fd_h) > 1e-9 * fd_h:
+        raise ValueError("fd_h must be a positive multiple of solver_h")
+    nsteps = int(round(KO_HORIZON / solver_h))
+    if abs(nsteps * solver_h - KO_HORIZON) > 1e-9:
+        raise ValueError("solver_h must divide the horizon")
+    if 2 * offset >= nsteps:
+        raise ValueError("fd stencil does not fit inside the integration window")
+
+    states = _kernels.integrate_ko(KO_INITIAL, solver_h, nsteps)
+    times = np.arange(nsteps + 1) * solver_h
+    sample_idx = np.round(np.linspace(offset, nsteps - offset, grid_count)).astype(int)
+
+    basis = get_basis("quad-monomial-3d")
+    rows = feature_matrix(basis, states[sample_idx])
+    dys = (states[sample_idx + offset] - states[sample_idx - offset]) / (2.0 * fd_h)
+    equations = ([], [], [])
+    for row, dy in zip(rows, dys.tolist()):
+        for i in range(3):
+            equations[i].append(DataBlock(phi=row[None, :], y=[dy[i]]))
+    return KoProblem(
+        equations=tuple(tuple(eq) for eq in equations),
+        basis_name=basis.name,
+        times=times,
+        states=states,
+        eval_grid=np.linspace(0.0, KO_HORIZON, 10001),
+        solver_h=solver_h,
+        fd_h=fd_h,
+    )
+
+
+def _assert_disjoint(blocks):
+    """No two arrays of ``blocks`` share a byte: their address ranges, sorted,
+    do not overlap (every array here is contiguous)."""
+    spans = sorted(
+        (a.__array_interface__["data"][0], a.nbytes)
+        for b in blocks for a in (b.phi, b.y)
+    )
+    assert all(start >= prev + size for (prev, size), (start, _) in zip(spans, spans[1:]))
+    if len(blocks) <= 100:
+        for a, b in itertools.combinations(blocks, 2):
+            for x, y in itertools.product((a.phi, a.y), (b.phi, b.y)):
+                assert not np.shares_memory(x, y)
+
+
+class TestGeneratorsMatchPerRowReference:
+    """Each generated stream is the views of one checked stack, bit-equal to
+    the blocks that the per-row constructor calls built."""
+
+    @staticmethod
+    def _assert_stream(got, want, tmp_path):
+        assert type(got) is tuple and len(got) == len(want)
+        for block, ref in zip(got, want):
+            for a, b in ((block.phi, ref.phi), (block.y, ref.y)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert type(block.lam) is float and block.lam == ref.lam
+        if got:  # one stack per stream
+            assert all(b.phi.base is got[0].phi.base for b in got)
+            assert all(b.y.base is got[0].y.base for b in got)
+            assert got[0].phi.base is not None and got[0].y.base is not None
+        ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+        write_blocks(got, ours)
+        write_blocks(want, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("count", [0, 1, 7, 2000])
+    def test_sin10x(self, tmp_path, count, noise):
+        got = gen_sin10x(count, seed=5, noise_scale=noise).blocks
+        self._assert_stream(got, _reference_gen_sin10x(count, 5, noise).blocks, tmp_path)
+        _assert_disjoint(got)
+
+    @pytest.mark.parametrize("lambda_b", [0.0, 1, 2.5])
+    @pytest.mark.parametrize("count", [0, 15])
+    def test_reaction_diffusion(self, tmp_path, count, lambda_b):
+        got = gen_reaction_diffusion(count, seed=2, noise_scale=0.3, lambda_b=lambda_b).blocks
+        want = _reference_gen_reaction_diffusion(count, 2, 0.3, lambda_b).blocks
+        self._assert_stream(got, want, tmp_path)
+        _assert_disjoint(got)
+
+    def test_ko(self, tmp_path):
+        got = gen_ko(grid_count=30).equations
+        want = _reference_gen_ko(grid_count=30).equations
+        assert len(got) == 3
+        for eq, ref in zip(got, want):
+            self._assert_stream(eq, ref, tmp_path)
+        assert len({id(eq[0].phi.base) for eq in got}) == 3
+        _assert_disjoint([b for eq in got for b in eq])
+
+    @staticmethod
+    def _assert_same_error(call, reference):
+        with pytest.raises(Exception) as want:
+            reference()
+        with pytest.raises(Exception) as got:
+            call()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_sin10x_non_finite_noise(self, noise):
+        self._assert_same_error(lambda: gen_sin10x(7, 1, noise),
+                                lambda: _reference_gen_sin10x(7, 1, noise))
+
+    @pytest.mark.parametrize("count, noise, lambda_b", [
+        (15, math.nan, 1.0), (15, math.inf, 1.0), (15, 0.1, math.nan), (15, 0.1, math.inf),
+        (0, 0.1, math.nan), (0, 0.1, math.inf), (0, math.nan, math.inf),
+        (15, math.nan, math.nan), (15, math.inf, math.inf),
+    ])
+    def test_reaction_diffusion_non_finite(self, count, noise, lambda_b):
+        self._assert_same_error(
+            lambda: gen_reaction_diffusion(count, 4, noise, lambda_b),
+            lambda: _reference_gen_reaction_diffusion(count, 4, noise, lambda_b),
+        )
