@@ -32,9 +32,13 @@ Each RK4 kernel advances (p, q, r) in place by ``nsteps`` classical 4-stage
 Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
 given.  Every kernel returns a ``Run``: the updated r and the factors W and
 bh.  Every run advances r (m more products bh_i^2 c_i); the engine drops it
-for a state without the loss accumulator.  With ``fail_early`` a backward
-run that RK4 cannot follow raises ``NumericsError`` before any step is taken.
-P always leaves a kernel exactly symmetric.
+for a state without the loss accumulator.  P always leaves a kernel exactly
+symmetric.  A kernel either raises ``NumericsError`` before it writes to p or
+q, or writes an update whose integrals c are all finite: a backward RK4 run is
+checked before its steps (``_check_backward``), an RK4 run that blows up is
+refused after them, and ``exact_dense`` refuses a run past the blow-up time.
+Whether p, q and r come out finite is checked by what holds them: the new
+state, or the trace point.
 """
 
 from __future__ import annotations
@@ -143,13 +147,7 @@ def _factors(p, q, phi, y):
 
 def _update(p, q, r, w, bh, c, loss):
     # The update of the module docstring in place, plus the residual ``loss``;
-    # returns the new r.  A NaN in c marks a run that blew up.
-    if any(map(math.isnan, c)):
-        # The state is undefined from here on; NaN marks all of it (without
-        # NumPy's inf * 0 warnings) for the caller to report.
-        p[:] = math.nan
-        q[:] = math.nan
-        return math.nan
+    # returns the new r.  Every c_i is finite.
     wc = w * np.array(c)
     p -= wc.dot(w.T)
     # One pass over the result makes both p0 and the update symmetric.
@@ -159,43 +157,48 @@ def _update(p, q, r, w, bh, c, loss):
     return r - 0.5 * (fit_loss + loss)
 
 
-def _rk4_integrals(a, h, nsteps, last, fail_early, trail=False):
+def _rk4_integrals(a, h, nsteps, last, trail=False):
     # c_i = _rk4_decay(a_i): RK4 commutes with the orthogonal change of
-    # variables.  With ``trail``, also the running integrals of ``Run``
-    # (None if the run blew up).
-    if fail_early and h < 0.0:
+    # variables.  With ``trail``, also the running integrals of ``Run``.
+    if h < 0.0:
         _check_backward(a, h, nsteps, last)
     running = np.empty((len(a), nsteps - 1)) if trail else None
     rows = map(memoryview, running) if trail else [None] * len(a)
     c = [_rk4_decay(ai, h, nsteps, last, row) for ai, row in zip(a, rows)]
-    if running is None or any(map(math.isnan, c)):
-        return c, None
-    running = running.T
-    running *= h / 6.0
+    if any(map(math.isnan, c)):
+        what = ("backward integration blew up" if h < 0.0
+                else "integration produced non-finite values")
+        raise NumericsError(f"{what}; use a smaller step size")
+    if trail:
+        running = running.T
+        running *= h / 6.0
     return c, running
 
 
-def rk4_dense(p, q, r, phi, y, h, nsteps, last=None, fail_early=False):
+def rk4_dense(p, q, r, phi, y, h, nsteps, last=None):
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
     a, w, bh, loss_rate = _factors(p, q, phi, y)
-    c, _ = _rk4_integrals(a, h, nsteps, last, fail_early)
+    c, _ = _rk4_integrals(a, h, nsteps, last)
     duration = h * (nsteps - 1) + last
     return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh)
 
 
-def exact_dense(p, q, r, phi, y, duration, refusal):
+def exact_dense(p, q, r, phi, y, duration):
     # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
-    # backward run past the blow-up time (as in ``_check_backward``).
+    # run past the blow-up time (``_check_backward``); a NaN a is refused too.
     a, w, bh, loss_rate = _factors(p, q, phi, y)
     dens = [1.0 + ai * duration for ai in a]
     if not all(den > 0.0 for den in dens):
-        raise NumericsError(refusal)
+        raise NumericsError(
+            "block not removable: I - lam phi P phi' is not positive definite"
+            if duration < 0.0 else "ill-conditioned update solve"
+        )
     c = [duration / den for den in dens]
     return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh)
 
 
-def rk4_diag(p, q, r, d, h, nsteps, last=None, fail_early=False, trail=False):
+def rk4_diag(p, q, r, d, h, nsteps, last=None, trail=False):
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("diagonal weights must be >= 0")
@@ -203,7 +206,7 @@ def rk4_diag(p, q, r, d, h, nsteps, last=None, fail_early=False, trail=False):
     last = h if last is None else float(last)
     phi = np.diag(np.sqrt(d))[d > 0.0]
     a, w, bh, _ = _factors(p, q, phi, np.zeros(len(phi)))
-    c, running = _rk4_integrals(a, h, nsteps, last, fail_early, trail)
+    c, running = _rk4_integrals(a, h, nsteps, last, trail)
     return Run(_update(p, q, r, w, bh, c, 0.0), w, bh, running)
 
 

@@ -165,8 +165,8 @@ def cmd_gen(args) -> int:
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x"] + list(truth_columns))
-        for i, x in enumerate(grid):
-            writer.writerow([repr(float(x))] + [repr(float(col[i])) for col in truth_columns.values()])
+        # csv writes every float as its repr.
+        writer.writerows(np.column_stack((grid, *truth_columns.values())).tolist())
     manifest_path = f"{out}.manifest.json"
     manifest = {"problem": args.problem, **{k: getattr(args, k) for k in fields},
                 "basis": prob.basis_name, "blocks": blocks_field, "truth_csv": truth_path}
@@ -202,6 +202,8 @@ def cmd_fit(args) -> int:
         state = rls_fit(hyper, blocks, rows)
     else:  # lsq
         state = _exact_state(hyper, blocks, stream)
+    # The solution comes before the first write: a run that fails writes nothing.
+    solution = engine.extract_solution(state, hyper, stream)
     ck = Checkpoint(
         version=CHECKPOINT_VERSION,
         n=n,
@@ -210,7 +212,6 @@ def cmd_fit(args) -> int:
         metadata=_state_metadata(args, {"method": args.method}),
     )
     write_checkpoint(ck, args.out)
-    solution = engine.extract_solution(state, hyper, stream)
     _emit({**_solution_payload(args.out, solution), "method": args.method}, args.pretty)
     return EXIT_OK
 
@@ -226,9 +227,8 @@ def _cmd_edit(args, forward: bool) -> int:
     op = engine.add_block if forward else engine.remove_block
     for block in blocks:
         state = op(state, block, cfg)
-    new_ck = ck.with_state(state)
-    write_checkpoint(new_ck, args.out)
     solution = engine.extract_solution(state, ck.hyperparams)
+    write_checkpoint(ck.with_state(state), args.out)
     _emit(
         {**_solution_payload(args.out, solution), "blocks_processed": len(blocks)},
         args.pretty,
@@ -258,8 +258,6 @@ def cmd_tune(args) -> int:
         new_gamma = _parse_vector(args.gamma, ck.n, "--gamma")
         trace = engine.ParetoTrace() if args.trace else None
         state, hyper = engine.tune_gamma(ck.state, ck.hyperparams, new_gamma, cfg, trace)
-        if args.trace:
-            trace.write_csv(args.trace)
         new_ck = ck.with_state(state).with_hyperparams(hyper)
         extra = {"trace": args.trace} if args.trace else {}
     else:
@@ -272,8 +270,10 @@ def cmd_tune(args) -> int:
             state = engine.tune_lambda(state, block, old_lam, new_lam, cfg)
         new_ck = ck.with_state(state)
         extra = {"blocks_retuned": len(blocks), "lambda": [old_lam, new_lam]}
-    write_checkpoint(new_ck, args.out)
     solution = engine.extract_solution(new_ck.state, new_ck.hyperparams)
+    if args.trace:
+        trace.write_csv(args.trace)
+    write_checkpoint(new_ck, args.out)
     _emit({**_solution_payload(args.out, solution), **extra}, args.pretty)
     return EXIT_OK
 

@@ -9,7 +9,10 @@ removed (time-reversed integration), and re-weighted after the fact, the
 regularization weights can be retuned through an auxiliary diagonal flow, and
 the prior bias can be moved by a pure matrix-vector evaluation.
 
-All operations are pure: they take a state and return a new one.
+All operations are pure: they take a state and return a new one, or raise
+``NumericsError``.  A kernel raises before it writes or yields finite
+integrals; the new state checks its own p, q and r, and a traced sweep each
+phase's points before it appends them, so a failed phase appends nothing.
 """
 
 from __future__ import annotations
@@ -129,16 +132,6 @@ def _sign_of(direction: str) -> float:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
-def _check_finite(p, q, r, direction: str) -> None:
-    if not (np.isfinite(p).all() and np.isfinite(q).all() and math.isfinite(r)):
-        hint = (
-            "backward integration blew up; use a smaller step size"
-            if direction == "backward"
-            else "integration produced non-finite values; use a smaller step size"
-        )
-        raise NumericsError(hint)
-
-
 def _new_elapsed(elapsed: float, signed_duration: float) -> float:
     out = elapsed + signed_duration
     if out < 0.0:
@@ -155,18 +148,18 @@ def _split_steps(duration: float, h: float, sign: float) -> tuple[float, int, fl
     return sign * h, k, sign * (duration - (k - 1) * h)
 
 
-def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState, scanned=False):
+def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState):
     """The state that ``run(p, q, r)`` leads to: ``run`` advances copies of
     ``state.p`` and ``state.q`` in place, from the state's r (0.0 when it has
-    none), and returns the new r.  r stays None if the state had none, and
-    elapsed advances by ``signed_duration``.  The copies become the new
-    state's arrays; ``scanned``: ``run`` has checked them for non-finite
-    values (``_check_finite``), so the state does not scan them again."""
+    none), and returns the new r.  r stays None if the state had none (the
+    run's r is then dropped unchecked), and elapsed advances by
+    ``signed_duration``.  The copies become the new state's arrays, and the
+    state's own checks are the one scan of them."""
     p = state.p.copy()
     q = state.q.copy()
     r = run(p, q, 0.0 if state.r is None else state.r)
     r = None if state.r is None else r
-    return _new_state(cls, p, q, r, _new_elapsed(state.elapsed, signed_duration), scanned)
+    return _new_state(cls, p, q, r, _new_elapsed(state.elapsed, signed_duration))
 
 
 def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
@@ -174,11 +167,9 @@ def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> Riccati
     h, nsteps, last = _split_steps(duration, cfg.step_h, sign)
 
     def run(p, q, r):
-        r = _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, last, True).r
-        _check_finite(p, q, r, direction)
-        return r
+        return _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, last).r
 
-    return _advance(state, sign * duration, run, scanned=True)
+    return _advance(state, sign * duration, run)
 
 
 def rk4_step(
@@ -287,9 +278,17 @@ def tune_lambda(
     return integrate_block(state, block, abs(delta), cfg, direction)
 
 
-def _trace_points(trace, p0, q0, r0, w, bh, c, gammas, theta0):
-    # One trace point per row c_k of c (and of the weights gammas), for the
-    # state p0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2.
+def _append_points(trace, chunks) -> None:
+    # The points join the trace only if every one is finite.
+    if not all(np.isfinite(column).all() for chunk in chunks for column in chunk):
+        raise NumericsError("non-finite trace point")
+    trace._chunks.extend(tuple(map(_frozen, chunk)) for chunk in chunks)
+
+
+def _trace_points(p0, q0, r0, w, bh, c, gammas, theta0):
+    # The columns of one trace point per row c_k of c (and of the weights
+    # gammas), for the state p0 - W diag(c_k) W^T, q0 - W (bh * c_k),
+    # r0 - sum(bh^2 c_k) / 2.
     x = gammas * theta0
     z = x.dot(w)
     theta = x.dot(p0.T) + q0 - (c * (z + bh)).dot(w.T)
@@ -301,13 +300,13 @@ def _trace_points(trace, p0, q0, r0, w, bh, c, gammas, theta0):
     diff = theta - theta0
     data_fit = total - 0.5 * np.einsum("ij,ij,ij->i", gammas, diff, diff)
     reg_norm = 0.5 * np.einsum("ij,ij->i", diff, diff)
-    trace._chunks.append(tuple(map(_frozen, (gammas.mean(axis=1), theta, data_fit, reg_norm))))
+    return gammas.mean(axis=1), theta, data_fit, reg_norm
 
 
-def _trace_point(trace, p, q, r, gamma_eff, theta0):
+def _trace_point(p, q, r, gamma_eff, theta0):
     # The point of the state (p, q, r) itself: no factors.
     no_w = np.zeros((len(q), 0))
-    _trace_points(trace, p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
+    return _trace_points(p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
 
 
 def _run_diag(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) -> float:
@@ -327,18 +326,17 @@ def _run_diag(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) ->
     """
     p0, q0, r0 = p.copy(), q.copy(), r
     h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
-    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, last, True, trace is not None)
-    _check_finite(p, q, run.r, direction)
+    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, last, trace is not None)
     if trace is not None:
         # Progress after each full step, summed in the same order as stepping.
         t = np.cumsum(np.full(len(run.running), cfg.step_h))
-        for start in range(0, len(t), _TRACE_CHUNK):
-            rows = slice(start, start + _TRACE_CHUNK)
-            _trace_points(
-                trace, p0, q0, r0, run.w, run.bh, run.running[rows],
-                gamma_at(t[rows, None]), theta0,
-            )
-        _trace_point(trace, p, q, run.r, gamma_end, theta0)
+        chunks = [
+            _trace_points(p0, q0, r0, run.w, run.bh, run.running[k:k + _TRACE_CHUNK],
+                          gamma_at(t[k:k + _TRACE_CHUNK, None]), theta0)
+            for k in range(0, len(t), _TRACE_CHUNK)
+        ]
+        chunks.append(_trace_point(p, q, run.r, gamma_end, theta0))
+        _append_points(trace, chunks)
     return run.r
 
 
@@ -367,9 +365,9 @@ def tune_gamma(
     d_down = np.maximum(-d, 0.0)
     if trace is not None and state.r is None:
         raise ValueError("Pareto tracing requires a state with the loss accumulator")
+    if trace is not None:
+        _append_points(trace, [_trace_point(state.p, state.q, state.r, hyper.gamma, hyper.theta0)])
     if not np.any(d_up) and not np.any(d_down):
-        if trace is not None:
-            _trace_point(trace, state.p, state.q, state.r, hyper.gamma, hyper.theta0)
         return state, new_hyper
 
     gamma0 = hyper.gamma
@@ -384,14 +382,12 @@ def tune_gamma(
     )
 
     def run(p, q, r):
-        if trace is not None:
-            _trace_point(trace, p, q, r, gamma0, theta0)
         for inc, direction, gamma_at, gamma_end in phases:
             if np.any(inc):
                 r = _run_diag(p, q, r, inc, cfg, direction, trace, gamma_at, gamma_end, theta0)
         return r
 
-    return _advance(state, 0.0, run, scanned=True), new_hyper
+    return _advance(state, 0.0, run), new_hyper
 
 
 def shift_bias(state: RiccatiState, hyper: Hyperparams, new_theta0) -> ModelSolution:

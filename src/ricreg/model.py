@@ -235,14 +235,14 @@ class RiccatiState:
             return False
 
 
-def _state_fields(p, q, r, elapsed, scanned=False) -> dict:
-    # The checks of RiccatiState.  ``scanned``: the caller has already found
-    # every entry of p and q finite.
+def _state_fields(p, q, r, elapsed) -> dict:
+    # The checks of RiccatiState: the one scan of p and q that every state,
+    # however it was made, goes through.
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"p must be square, got shape {p.shape}")
     if q.ndim != 1 or q.shape[0] != p.shape[0]:
         raise ValueError(f"q length {q.shape} does not match p {p.shape}")
-    if not scanned and (not np.isfinite(p).all() or not np.isfinite(q).all()):
+    if not np.isfinite(p).all() or not np.isfinite(q).all():
         raise NumericsError("non-finite entries in state")
     if r is not None:
         r = float(r)
@@ -254,11 +254,10 @@ def _state_fields(p, q, r, elapsed, scanned=False) -> dict:
     return {"p": p, "q": q, "r": r, "elapsed": elapsed}
 
 
-def _new_state(cls, p, q, r, elapsed, scanned=False):
+def _new_state(cls, p, q, r, elapsed):
     """A ``cls`` (RiccatiState or a subclass) over the p and q that an
-    operation has just built, frozen in place, after the constructor's checks
-    (``scanned``: p and q were already found finite)."""
-    return _adopt(cls, _state_fields(_frozen(p), _frozen(q), r, elapsed, scanned))
+    operation has just built, frozen in place, after the constructor's checks."""
+    return _adopt(cls, _state_fields(_frozen(p), _frozen(q), r, elapsed))
 
 
 def new_state(hyper: Hyperparams) -> RiccatiState:

@@ -12,10 +12,11 @@ and r:
 
 A removal is refused (``NumericsError``) exactly when some 1 + a T <= 0,
 i.e. when I - lam phi P phi' is not positive definite: the block was never
-incorporated, or arithmetic has degraded too far.  No forgetting factor and
-no square-root filtering: updates are exact but inherit the usual numerical
-fragility of plain RLS on badly conditioned streams.  ``elapsed`` follows the
-same rule as the RK4 engine.
+incorporated, or arithmetic has degraded too far.  The kernel raises before
+it writes anything, and the new state checks its own p, q and r, as on the
+RK4 path.  No forgetting factor and no square-root filtering: updates are
+exact but inherit the usual numerical fragility of plain RLS on badly
+conditioned streams.  ``elapsed`` follows the same rule as the RK4 engine.
 
 ``rls_fit`` treats the whole stream as one block: the flow of
 1/2 sum_i lam_i ||phi_i theta - y_i||^2 is that of 1/2 ||Phi~ theta - y~||^2
@@ -43,9 +44,6 @@ from .model import (
 
 __all__ = ["RlsState", "rls_add", "rls_remove", "rls_fit"]
 
-_ADD_REFUSAL = "ill-conditioned update solve"
-_REMOVE_REFUSAL = "block not removable: I - lam phi P phi' is not positive definite"
-
 
 class RlsState(RiccatiState):
     """The flow state under its former name, kept for perfbench (a shim)."""
@@ -57,26 +55,26 @@ class RlsState(RiccatiState):
         return RiccatiState(p=self.p, q=self.q, r=r, elapsed=elapsed)
 
 
-def _exact(state: RiccatiState, block: DataBlock, signed_lam: float, refusal: str) -> RlsState:
+def _exact(state: RiccatiState, block: DataBlock, signed_lam: float) -> RlsState:
     validate_block(block, state.n)
     if block.lam == 0.0:
         return _adopt(RlsState, vars(state))  # the same frozen arrays, no eigh
 
     def run(p, q, r):
-        return _kernels.exact_dense(p, q, r, block.phi, block.y, signed_lam, refusal).r
+        return _kernels.exact_dense(p, q, r, block.phi, block.y, signed_lam).r
 
     return _advance(state, signed_lam, run, RlsState)
 
 
 def rls_add(state: RiccatiState, block: DataBlock) -> RlsState:
     """Exact incorporation of one block."""
-    return _exact(state, block, block.lam, _ADD_REFUSAL)
+    return _exact(state, block, block.lam)
 
 
 def rls_remove(state: RiccatiState, block: DataBlock) -> RlsState:
     """Exact removal of a previously added block; refused with
     ``NumericsError`` when I - lam phi P phi' is not positive definite."""
-    return _exact(state, block, -block.lam, _REMOVE_REFUSAL)
+    return _exact(state, block, -block.lam)
 
 
 def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
@@ -97,5 +95,5 @@ def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     step = max(hyper.n, 1)
     for start in range(0, len(y), step):
         rows = slice(start, start + step)
-        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0, _ADD_REFUSAL).r
+        r = _kernels.exact_dense(p, q, r, phi[rows], y[rows], 1.0).r
     return _new_state(RlsState, p, q, r, float(sum(b.lam for b in blocks)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 from ricreg import DataBlock, cli, read_checkpoint, solve_direct, write_blocks
 from ricreg.cli import main
-from ricreg.model import Hyperparams, read_blocks
+from ricreg.model import Hyperparams, read_blocks, write_checkpoint
 from ricreg.problems import relative_l1
 
 
@@ -101,6 +101,22 @@ class TestGen:
                 "count": count, "basis": manifest["basis"], **seed,
             }.items())
             assert (tmp_path / "d.truth.csv").read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize("problem", list(GEN_ARGS))
+    def test_truth_csv_matches_per_row_form(self, tmp_path, capsys, problem):
+        # The column stack writes the bytes of one csv row per grid point with
+        # every value as repr(float(...)).
+        argv = ["gen", problem, *self.GEN_ARGS[problem], "--out", str(tmp_path / "d")]
+        assert main(argv) == 0
+        generate, _, _, truth_of = cli._GEN_PROBLEMS[problem]
+        prob = generate(cli.build_parser().parse_args(argv))
+        columns = list(truth_of(prob, prob.eval_grid).items())
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x"] + [name for name, _ in columns])
+            for i, x in enumerate(prob.eval_grid):
+                writer.writerow([repr(float(x))] + [repr(float(col[i])) for _, col in columns])
+        assert (tmp_path / "d.truth.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_ko_writes_three_streams(self, tmp_path, capsys):
         out = tmp_path / "ko"
@@ -831,6 +847,45 @@ class TestBenchCommand:
         assert lines[0] == "method,N,n,m,seconds_per_update"
         assert len(lines) == 3
         assert len(payload["rows"]) == 2
+
+
+# gamma * theta0 overflows on purpose; NumPy warns about it on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFailedRunWritesNothing:
+    """A run that exits 2 leaves no file behind: each command builds the
+    solution before its first write.  The checkpoint ``bad.json`` holds a
+    finite state whose evaluation point gamma * theta0 overflows."""
+
+    GAMMA = ",".join(["1e300"] + ["100"] * 9)
+
+    @pytest.fixture
+    def session(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "sin10x", "--count", "30", "--seed", "1", "--out", "d.jsonl"]) == 0
+        assert main(["fit", "d.jsonl", "--gamma", self.GAMMA, "--method", "rls",
+                     "--out", "ck.json"]) == 0
+        ck = read_checkpoint("ck.json")
+        theta0 = np.zeros(10)
+        theta0[0] = 1e10
+        write_checkpoint(ck.with_hyperparams(ck.hyperparams.with_theta0(theta0)), "bad.json")
+        write_blocks(read_blocks("d.jsonl")[:1], "one.jsonl")
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "d.jsonl", "--gamma", GAMMA, "--theta0", "1e10", "--method", "rls"],
+        ["add", "--checkpoint", "bad.json", "one.jsonl"],
+        ["remove", "--checkpoint", "bad.json", "one.jsonl"],
+        ["tune", "--checkpoint", "bad.json", "--lambda-block", "one.jsonl",
+         "--lambda", "1", "0.5"],
+        ["tune", "--checkpoint", "bad.json", "--gamma", GAMMA.replace("100", "200"),
+         "--step-size", "0.1", "--trace", "sweep.csv"],
+    ], ids=["fit", "add", "remove", "tune-lambda", "tune-gamma-traced"])
+    def test_exit_2_writes_no_file(self, session, capsys, argv):
+        before = sorted(p.name for p in session.iterdir())
+        assert main(argv + ["--out", "out.json"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert sorted(p.name for p in session.iterdir()) == before
 
 
 class TestExitCodes:

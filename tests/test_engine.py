@@ -185,6 +185,17 @@ class TestFailEarly:
         assert len(trace) == 2  # the two starting points
         assert all(np.all(np.isfinite(rec.theta)) for rec in trace)
 
+    def test_sweep_with_overflowing_evaluation_point_is_refused(self):
+        # gamma * theta0 overflows in its first entry, so every point of the
+        # sweep, the starting point too, is non-finite while the state is not.
+        hyper = Hyperparams(gamma=[1e300, 1.0], theta0=[1e10, 0.0])
+        st = fit(hyper, [DataBlock(phi=[[1.0, 1.0]], y=[1.0])], CFG)
+        trace = ParetoTrace()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="non-finite trace point"):
+                tune_gamma(st, hyper, [1e300, 2.0], IntegrationConfig(step_h=0.25), trace)
+        assert len(trace) == 0
+
 
 class TestIntegrateBlock:
     @pytest.mark.parametrize("m", [1, 3, 8])
@@ -616,9 +627,6 @@ class _RecordTrace:
     def __init__(self):
         self.records = []
 
-    def append(self, record):
-        self.records.append(record)
-
     def write_csv(self, path):
         n = self.records[0].theta.shape[0]
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -634,8 +642,8 @@ class _RecordTrace:
                 )
 
 
-def _trace_points_per_record(trace, p0, q0, r0, w, bh, c, gammas, theta0):
-    """``engine._trace_points`` appending one ``TraceRecord`` per point."""
+def _trace_points_per_record(p0, q0, r0, w, bh, c, gammas, theta0):
+    """``engine._trace_points`` building one ``TraceRecord`` per point."""
     x = gammas * theta0
     z = x.dot(w)
     theta = x.dot(p0.T) + q0 - (c * (z + bh)).dot(w.T)
@@ -646,16 +654,25 @@ def _trace_points_per_record(trace, p0, q0, r0, w, bh, c, gammas, theta0):
     diff = theta - theta0
     data_fit = total - 0.5 * np.einsum("ij,ij,ij->i", gammas, diff, diff)
     reg_norm = 0.5 * np.einsum("ij,ij->i", diff, diff)
-    for label, th, fit_, reg in zip(
-        gammas.mean(axis=1).tolist(), theta, data_fit.tolist(), reg_norm.tolist()
-    ):
-        trace.append(engine.TraceRecord(label, th, fit_, reg))
+    return [
+        engine.TraceRecord(label, th, fit_, reg)
+        for label, th, fit_, reg in zip(
+            gammas.mean(axis=1).tolist(), theta, data_fit.tolist(), reg_norm.tolist()
+        )
+    ]
+
+
+def _append_records(trace, chunks):
+    """``engine._append_points`` for the chunks of ``_trace_points_per_record``."""
+    for records in chunks:
+        trace.records.extend(records)
 
 
 class TestTraceReference:
     """The columnar trace holds, bit for bit, the points and CSV bytes of the
     per-record trace: the same sweeps, run once more with
-    ``engine._trace_points`` replaced by ``_trace_points_per_record``."""
+    ``engine._trace_points`` and ``engine._append_points`` replaced by
+    ``_trace_points_per_record`` and ``_append_records``."""
 
     @staticmethod
     def _case(kind):
@@ -696,6 +713,7 @@ class TestTraceReference:
         trace = sweep(ParetoTrace())
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_trace_points", _trace_points_per_record)
+            patch.setattr(engine, "_append_points", _append_records)
             reference = sweep(_RecordTrace())
         got, want = trace.records, reference.records
         assert len(trace) == len(got) == len(want) == points

@@ -5,7 +5,8 @@ There is one implementation per kernel and no JIT.  `rk4_dense` and
 flow as the row-space recurrence, which must agree with the per-step RK4
 references below to rounding error.  `integrate_ko` is a scalar loop over
 three floats with the same arithmetic as the array reference
-`_integrate_ko_numpy`, and must match it bit for bit.
+`_integrate_ko_numpy`, and must match it bit for bit.  A kernel that fails
+raises before it writes to p or q (`TestFailureContract`).
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ricreg import _kernels
+from ricreg.model import NumericsError
 
 
 def _rk4_dense_numpy(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
@@ -189,12 +191,6 @@ class TestDenseKernel:
         p0, q0, phi, y = self._case(5, m)
         _assert_p_q_independent_of_r(lambda r0: _both(p0, q0, r0, phi, y, h, 100))
 
-    def test_blow_up_marks_whole_state_nan(self):
-        p0, q0, phi, y = self._case(5, 4)
-        p, q = p0.copy(), q0.copy()
-        r = _kernels.rk4_dense(p, q, 0.5, phi, y, -1e-2, 100).r
-        assert np.isnan(p).all() and np.isnan(q).all() and np.isnan(r)
-
     @pytest.mark.parametrize("m", [1, 4, 8])
     def test_exact_run_shares_the_factors(self, m):
         # The RK4 and the exact (Woodbury) update factor the same state and
@@ -202,7 +198,7 @@ class TestDenseKernel:
         # takes the thin-QR path.
         p0, q0, phi, y = self._case(5, m)
         dense = _kernels.rk4_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1e-2, 100)
-        exact = _kernels.exact_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1.0, "refused")
+        exact = _kernels.exact_dense(p0.copy(), q0.copy(), 0.5, phi, y, 1.0)
         assert np.array_equal(dense.w, exact.w)
         assert np.array_equal(dense.bh, exact.bh)
         assert dense.running is None and exact.running is None
@@ -220,6 +216,65 @@ class TestDenseKernel:
         got, ref = (p_a, q_a, r_a), (p_b, q_b, r_b)
         _assert_close(got, ref)
         assert np.max(np.abs(got[0] - p0)) < 1e-7
+
+
+def _unit_block(m, n=5):
+    # A block whose G = phi phi^T (the G of the state P = I) has largest
+    # eigenvalue 1.
+    rng = np.random.default_rng(7)
+    phi = rng.normal(size=(m, n))
+    return phi / math.sqrt(np.linalg.eigvalsh(phi @ phi.T).max()), rng.normal(size=m)
+
+
+def _dense_run(m, scale, h, nsteps):
+    phi, y = _unit_block(m)
+    return lambda p, q: _kernels.rk4_dense(p, q, 0.5, scale * phi, y, h, nsteps)
+
+
+def _diag_run(scale, h, nsteps):
+    d = scale * np.linspace(0.25, 1.0, 5)
+    return lambda p, q: _kernels.rk4_diag(p, q, 0.5, d, h, nsteps)
+
+
+def _exact_run(duration):
+    phi, y = _unit_block(2)
+    return lambda p, q: _kernels.exact_dense(p, q, 0.5, phi, y, duration)
+
+
+_FORWARD_BLOW_UP = "integration produced non-finite values; use a smaller step size"
+
+
+class TestFailureContract:
+    """A kernel either raises ``NumericsError`` before it writes to p or q, or
+    writes an update with finite integrals.  Every case starts from P = +-I,
+    where the largest eigenvalue a of G is the block's scale (negated at
+    P = -I): a forward run with h a = 100 blows up, a backward run of length T
+    with a T >= 1 removes what was never added, and one step with a T = 0.9
+    is past RK4's stability limit."""
+
+    @pytest.mark.parametrize("sign, run, match", [
+        pytest.param(1.0, _dense_run(1, 1e4, 1e-2, 100), _FORWARD_BLOW_UP,
+                     id="dense-m1-forward"),
+        pytest.param(1.0, _dense_run(1, 1.0, -0.02, 100), "never added",
+                     id="dense-m1-backward"),
+        pytest.param(1.0, _dense_run(4, 1e4, 1e-2, 100), _FORWARD_BLOW_UP,
+                     id="dense-m4-forward"),
+        pytest.param(1.0, _dense_run(4, 1.0, -0.9, 1), "too stiff for RK4",
+                     id="dense-m4-backward"),
+        pytest.param(1.0, _diag_run(1e4, 1e-2, 100), _FORWARD_BLOW_UP, id="diag-forward"),
+        pytest.param(1.0, _diag_run(1.0, -0.9, 1), "too stiff for RK4", id="diag-backward"),
+        # An add is refused only where G has an eigenvalue a <= -1/T, here
+        # from the indefinite P = -I.
+        pytest.param(-1.0, _exact_run(2.0), "ill-conditioned update solve", id="exact-add"),
+        pytest.param(1.0, _exact_run(-2.0), "not removable", id="exact-remove"),
+    ])
+    def test_refuses_before_writing(self, sign, run, match):
+        p0 = sign * np.eye(5)
+        q0 = np.random.default_rng(8).normal(size=5)
+        p, q = p0.copy(), q0.copy()
+        with pytest.raises(NumericsError, match=match):
+            run(p, q)
+        assert p.tobytes() == p0.tobytes() and q.tobytes() == q0.tobytes()
 
 
 class TestSingleRowKernel:
