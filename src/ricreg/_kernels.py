@@ -13,8 +13,9 @@ references in ``tests/test_kernels.py`` to rounding); ``exact_dense`` takes
 the closed form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and
 refuses a run with some 1 + a T <= 0.  The diagonal flow with weights d >= 0
 is the data flow of phi = diag(sqrt(d)), restricted to the rows with d > 0,
-and y = 0.  The only other loop is ``integrate_ko``, a scalar RK4 loop over
-the three floats of the KO trajectory.
+and y = 0, so ``rk4_dense`` and ``rk4_diag`` share one body (``_rk4``).  The
+only other loop is ``integrate_ko``, a scalar RK4 loop over the three floats
+of the KO trajectory.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -175,13 +176,18 @@ def _rk4_integrals(a, h, nsteps, last, trail=False):
     return c, running
 
 
-def rk4_dense(p, q, r, phi, y, h, nsteps, last=None):
+def _rk4(p, q, r, phi, y, h, nsteps, last=None, trail=False):
+    # The RK4 run of both kernels, on the data flow of (phi, y).
     h, nsteps = float(h), int(nsteps)
     last = h if last is None else float(last)
     a, w, bh, loss_rate = _factors(p, q, phi, y)
-    c, _ = _rk4_integrals(a, h, nsteps, last)
+    c, running = _rk4_integrals(a, h, nsteps, last, trail)
     duration = h * (nsteps - 1) + last
-    return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh)
+    return Run(_update(p, q, r, w, bh, c, loss_rate * duration), w, bh, running)
+
+
+def rk4_dense(p, q, r, phi, y, h, nsteps, last=None):
+    return _rk4(p, q, r, phi, y, h, nsteps, last)
 
 
 def exact_dense(p, q, r, phi, y, duration):
@@ -202,12 +208,8 @@ def rk4_diag(p, q, r, d, h, nsteps, last=None, trail=False):
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("diagonal weights must be >= 0")
-    h, nsteps = float(h), int(nsteps)
-    last = h if last is None else float(last)
     phi = np.diag(np.sqrt(d))[d > 0.0]
-    a, w, bh, _ = _factors(p, q, phi, np.zeros(len(phi)))
-    c, running = _rk4_integrals(a, h, nsteps, last, trail)
-    return Run(_update(p, q, r, w, bh, c, 0.0), w, bh, running)
+    return _rk4(p, q, r, phi, np.zeros(len(phi)), h, nsteps, last, trail)
 
 
 def integrate_ko(x0, h, nsteps):

@@ -476,13 +476,10 @@ def cmd_bench(args) -> int:
             })
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "N", "n", "m", "seconds_per_update"])
-            for row in rows:
-                writer.writerow(
-                    [row["method"], row["N"], row["n"], row["m"],
-                     repr(row["seconds_per_update"])]
-                )
+            # csv writes every float as its repr.
+            writer = csv.DictWriter(fh, ["method", "N", "n", "m", "seconds_per_update"])
+            writer.writeheader()
+            writer.writerows(rows)
     _emit({"rows": rows, "out": args.out}, args.pretty)
     return EXIT_OK
 
@@ -601,7 +598,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The library refuses every non-finite result with its own message,
+        # so NumPy's overflow warnings on the way would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

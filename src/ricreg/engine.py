@@ -141,11 +141,12 @@ def _new_elapsed(elapsed: float, signed_duration: float) -> float:
     return out
 
 
-def _split_steps(duration: float, h: float, sign: float) -> tuple[float, int, float]:
+def _split_steps(signed_duration: float, h: float) -> tuple[float, int, float]:
     """Signed step size, number of steps, and signed size of the final step,
-    which lands exactly on ``duration``."""
-    k = max(1, int(math.ceil(duration / h - 1e-9)))
-    return sign * h, k, sign * (duration - (k - 1) * h)
+    which lands exactly on ``signed_duration``; the sign is the duration's."""
+    k = max(1, int(math.ceil(abs(signed_duration) / h - 1e-9)))
+    step = math.copysign(h, signed_duration)
+    return step, k, signed_duration - (k - 1) * step
 
 
 def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState):
@@ -162,23 +163,30 @@ def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState)
     return _new_state(cls, p, q, r, _new_elapsed(state.elapsed, signed_duration))
 
 
-def _run_dense(state: RiccatiState, phi, y, duration, cfg, direction) -> RiccatiState:
-    sign = _sign_of(direction)
-    h, nsteps, last = _split_steps(duration, cfg.step_h, sign)
+def _run_dense(state: RiccatiState, block: DataBlock, signed_duration, cfg) -> RiccatiState:
+    h, nsteps, last = _split_steps(signed_duration, cfg.step_h)
 
     def run(p, q, r):
-        return _kernels.rk4_dense(p, q, r, phi, y, h, nsteps, last).r
+        return _kernels.rk4_dense(p, q, r, block.phi, block.y, h, nsteps, last).r
 
-    return _advance(state, sign * duration, run)
+    return _advance(state, signed_duration, run)
+
+
+def _integrate(state: RiccatiState, block: DataBlock, signed_duration, cfg) -> RiccatiState:
+    """``block``'s flow over ``signed_duration`` (backward in time if negative),
+    after checking the block against the state; the state itself for a zero
+    duration."""
+    validate_block(block, state.n)
+    if signed_duration == 0.0:
+        return state
+    return _run_dense(state, block, signed_duration, cfg)
 
 
 def rk4_step(
     state: RiccatiState, block: DataBlock, h: float, direction: str = "forward"
 ) -> RiccatiState:
     """One classical RK4 step of size +h (forward) or -h (backward)."""
-    cfg = IntegrationConfig(step_h=h)
-    validate_block(block, state.n)
-    return _run_dense(state, block.phi, block.y, h, cfg, direction)
+    return integrate_block(state, block, h, IntegrationConfig(step_h=h), direction)
 
 
 def integrate_block(
@@ -191,11 +199,7 @@ def integrate_block(
     """Integrate one block's piece of the flow for ``duration`` time units."""
     if duration < 0.0 or not math.isfinite(duration):
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    validate_block(block, state.n)
-    _sign_of(direction)
-    if duration == 0.0:
-        return state
-    return _run_dense(state, block.phi, block.y, duration, cfg, direction)
+    return _integrate(state, block, _sign_of(direction) * duration, cfg)
 
 
 def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
@@ -207,7 +211,7 @@ def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
     state = new_state(hyper)
     for block in blocks:
         if block.lam != 0.0:
-            state = _run_dense(state, block.phi, block.y, block.lam, cfg, "forward")
+            state = _run_dense(state, block, block.lam, cfg)
     return state
 
 
@@ -249,7 +253,8 @@ def extract_solution(
 
 def add_block(state: RiccatiState, block: DataBlock, cfg: IntegrationConfig) -> RiccatiState:
     """Incorporate one more block; equivalent to refitting with it appended."""
-    return integrate_block(state, block, block.lam, cfg, "forward")
+    validate_block(block, state.n)  # before its weight is read
+    return _integrate(state, block, block.lam, cfg)
 
 
 def remove_block(state: RiccatiState, block: DataBlock, cfg: IntegrationConfig) -> RiccatiState:
@@ -258,7 +263,8 @@ def remove_block(state: RiccatiState, block: DataBlock, cfg: IntegrationConfig) 
     The caller is responsible for the block actually having been incorporated;
     the state carries no history to verify it.
     """
-    return integrate_block(state, block, block.lam, cfg, "backward")
+    validate_block(block, state.n)  # before its weight is read
+    return _integrate(state, block, -block.lam, cfg)
 
 
 def tune_lambda(
@@ -269,13 +275,9 @@ def tune_lambda(
     cfg: IntegrationConfig,
 ) -> RiccatiState:
     """Change one block's weight by integrating its piece for the difference."""
-    if old_lambda < 0.0 or new_lambda < 0.0:
-        raise ValueError("weights must be >= 0")
-    delta = new_lambda - old_lambda
-    if delta == 0.0:
-        return state
-    direction = "forward" if delta > 0.0 else "backward"
-    return integrate_block(state, block, abs(delta), cfg, direction)
+    if not (0.0 <= old_lambda < math.inf and 0.0 <= new_lambda < math.inf):
+        raise ValueError(f"weights must be finite and >= 0, got {old_lambda} and {new_lambda}")
+    return _integrate(state, block, new_lambda - old_lambda, cfg)
 
 
 def _append_points(trace, chunks) -> None:
@@ -309,34 +311,35 @@ def _trace_point(p, q, r, gamma_eff, theta0):
     return _trace_points(p, q, r, no_w, no_w[0], no_w[:1], gamma_eff[None, :], theta0)
 
 
-def _run_diag(p, q, r, d, cfg, direction, trace, gamma_at, gamma_end, theta0) -> float:
-    """Unit-duration diagonal flow, one row-space run of the kernel.
+def _run_diag(p, q, r, d, sign, cfg, trace, start, end, theta0) -> float:
+    """The diagonal flow with increments ``d`` over unit time, forward for
+    ``sign`` = 1.0 and backward for -1.0, as one row-space run of the kernel.
 
-    With a ``trace``, one trace point is recorded per step.  ``gamma_at(t)``
-    maps progress values t in [0, 1) through the phase (a column, one per row
-    of the result) to the regularization weights whose exact solution the
-    state then represents.  The run hands back the factors W, bh and the
-    running integrals c_k after every step, so the state after step k is
-    P0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2; the
-    interior points are evaluated from these in chunks of ``_TRACE_CHUNK``
-    steps.  The last point is evaluated from the final state and labelled with
-    the phase's exact end weights ``gamma_end``, so that it is identical to the
-    first point of whatever continues from the same state.  A phase that fails
-    records nothing.
+    With a ``trace``, one trace point is recorded per step.  After progress t
+    in [0, 1) through the phase the state is the exact solution under the
+    weights ``start + (sign * t) * d``.  The run hands back the factors W, bh
+    and the running integrals c_k after every step, so the state after step k
+    is P0 - W diag(c_k) W^T, q0 - W (bh * c_k), r0 - sum(bh^2 c_k) / 2; the
+    interior points, and their weights, are evaluated from these in chunks of
+    ``_TRACE_CHUNK`` steps.  The last point is evaluated from the final state
+    and labelled with the phase's exact end weights ``end``, so that it is
+    identical to the first point of whatever continues from the same state.
+    A phase that fails records nothing.
     """
+    h, nsteps, last = _split_steps(sign, cfg.step_h)
+    if trace is None:
+        return _kernels.rk4_diag(p, q, r, d, h, nsteps, last).r
     p0, q0, r0 = p.copy(), q.copy(), r
-    h, nsteps, last = _split_steps(1.0, cfg.step_h, _sign_of(direction))
-    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, last, trace is not None)
-    if trace is not None:
-        # Progress after each full step, summed in the same order as stepping.
-        t = np.cumsum(np.full(len(run.running), cfg.step_h))
-        chunks = [
-            _trace_points(p0, q0, r0, run.w, run.bh, run.running[k:k + _TRACE_CHUNK],
-                          gamma_at(t[k:k + _TRACE_CHUNK, None]), theta0)
-            for k in range(0, len(t), _TRACE_CHUNK)
-        ]
-        chunks.append(_trace_point(p, q, run.r, gamma_end, theta0))
-        _append_points(trace, chunks)
+    run = _kernels.rk4_diag(p, q, r, d, h, nsteps, last, True)
+    # Progress after each full step, summed in the same order as stepping.
+    t = np.cumsum(np.full(len(run.running), cfg.step_h))
+    chunks = []
+    for k in range(0, len(t), _TRACE_CHUNK):
+        weights = start + (sign * t[k:k + _TRACE_CHUNK, None]) * d
+        chunks.append(_trace_points(p0, q0, r0, run.w, run.bh,
+                                    run.running[k:k + _TRACE_CHUNK], weights, theta0))
+    chunks.append(_trace_point(p, q, run.r, end, theta0))
+    _append_points(trace, chunks)
     return run.r
 
 
@@ -370,21 +373,18 @@ def tune_gamma(
     if not np.any(d_up) and not np.any(d_down):
         return state, new_hyper
 
-    gamma0 = hyper.gamma
-    theta0 = hyper.theta0
-    # A following backward phase starts from weights gamma + d_up; after
-    # progress t of it the state solves the problem with weights
-    # gamma + d_up - t * d_down.
-    up_end = gamma0 + d_up if np.any(d_down) else new_hyper.gamma
+    # A phase is (increments, sign, start weights, end label).  A backward
+    # phase that follows a forward one starts from the weights gamma + d_up.
+    mid = hyper.gamma + d_up
     phases = (
-        (d_up, "forward", lambda t: gamma0 + t * d_up, up_end),
-        (d_down, "backward", lambda t: gamma0 + d_up - t * d_down, new_hyper.gamma),
+        (d_up, 1.0, hyper.gamma, mid if np.any(d_down) else new_hyper.gamma),
+        (d_down, -1.0, mid, new_hyper.gamma),
     )
 
     def run(p, q, r):
-        for inc, direction, gamma_at, gamma_end in phases:
+        for inc, sign, start, end in phases:
             if np.any(inc):
-                r = _run_diag(p, q, r, inc, cfg, direction, trace, gamma_at, gamma_end, theta0)
+                r = _run_diag(p, q, r, inc, sign, cfg, trace, start, end, hyper.theta0)
         return r
 
     return _advance(state, 0.0, run), new_hyper

@@ -323,6 +323,17 @@ def _fitted_solution(theta, hyper: Hyperparams, blocks) -> ModelSolution:
     return _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
 
 
+def _step_sizes(sigma_theta, sigma_w) -> tuple[float, float]:
+    """The PDHG step sizes as floats, after checking the rule they must
+    satisfy: both positive and finite, with product below 1."""
+    st, sw = float(sigma_theta), float(sigma_w)
+    if st <= 0 or sw <= 0 or not math.isfinite(st) or not math.isfinite(sw):
+        raise ValueError("step sizes must be positive and finite")
+    if st * sw >= 1.0:
+        raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
+    return st, sw
+
+
 @dataclass(frozen=True)
 class PdhgState:
     """Primal-dual iterate pair with extrapolation and step sizes."""
@@ -335,35 +346,12 @@ class PdhgState:
     iteration: int = 0
 
     def __post_init__(self):
-        arrays = (_frozen_array(getattr(self, name)) for name in ("theta", "w", "theta_bar"))
-        _init(self, _pdhg_fields(*arrays, self.sigma_theta, self.sigma_w, self.iteration))
-
-
-def _pdhg_fields(theta, w, theta_bar, sigma_theta, sigma_w, iteration) -> dict:
-    # The checks of PdhgState.
-    st = float(sigma_theta)
-    sw = float(sigma_w)
-    if st <= 0.0 or sw <= 0.0:
-        raise ValueError("step sizes must be positive")
-    if st * sw >= 1.0:
-        raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
-    if iteration < 0:
-        raise ValueError("iteration must be >= 0")
-    return {
-        "theta": theta,
-        "w": w,
-        "theta_bar": theta_bar,
-        "sigma_theta": st,
-        "sigma_w": sw,
-        "iteration": int(iteration),
-    }
-
-
-def _new_pdhg_state(theta, w, theta_bar, sigma_theta, sigma_w, iteration) -> PdhgState:
-    """A PdhgState over iterates that an operation has just built, frozen in
-    place, after the constructor's checks."""
-    arrays = map(_frozen, (theta, w, theta_bar))
-    return _adopt(PdhgState, _pdhg_fields(*arrays, sigma_theta, sigma_w, iteration))
+        theta, w, theta_bar = map(_frozen_array, (self.theta, self.w, self.theta_bar))
+        st, sw = _step_sizes(self.sigma_theta, self.sigma_w)
+        if self.iteration < 0:
+            raise ValueError("iteration must be >= 0")
+        _init(self, {"theta": theta, "w": w, "theta_bar": theta_bar,
+                     "sigma_theta": st, "sigma_w": sw, "iteration": int(self.iteration)})
 
 
 @dataclass(frozen=True)

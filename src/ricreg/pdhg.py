@@ -36,8 +36,9 @@ from .model import (
     ModelSolution,
     PdhgState,
     RiccatiState,
-    _new_pdhg_state,
+    _frozen_array,
     _new_solution,
+    _step_sizes,
     data_fit_value,
     validate_block,
 )
@@ -70,10 +71,9 @@ class ProxSpec:
     def __post_init__(self):
         if self.kind not in _PROX_KINDS:
             raise ValueError(f"kind must be one of {_PROX_KINDS}, got {self.kind!r}")
-        weights = np.array(self.weights, dtype=float, copy=True)
+        weights = _frozen_array(self.weights)
         if weights.ndim != 1 or not np.isfinite(weights).all() or (weights <= 0).any():
             raise ValueError("weights must be a 1-D vector of positive reals")
-        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -90,20 +90,15 @@ class PdhgConfig:
     x_point: np.ndarray | None = None
 
     def __post_init__(self):
-        st, sw = float(self.sigma_theta), float(self.sigma_w)
-        if st <= 0 or sw <= 0 or not math.isfinite(st) or not math.isfinite(sw):
-            raise ValueError("step sizes must be positive and finite")
-        if st * sw >= 1.0:
-            raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
+        _step_sizes(self.sigma_theta, self.sigma_w)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if self.x_point is not None:
-            x = np.array(self.x_point, dtype=float, copy=True)
+            x = _frozen_array(self.x_point)
             if x.ndim != 1 or not np.isfinite(x).all():
                 raise ValueError("x_point must be a finite 1-D vector")
-            x.flags.writeable = False
             object.__setattr__(self, "x_point", x)
 
 
@@ -197,10 +192,9 @@ def pdhg_solve(
     data_fit = data_fit_value(theta, blocks)
     # Fold the linear term into reg_value so total = data_fit + reg_value.
     reg_value = regularizer_value(spec, theta) - float(x @ theta)
-    # _iterate returns fresh arrays: they are frozen in place, and the
-    # solution and the state share theta.
+    # _iterate returns a fresh theta: the solution freezes it in place.
     solution = _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
-    state = _new_pdhg_state(theta, w, theta_bar, cfg.sigma_theta, cfg.sigma_w, iterations)
+    state = PdhgState(theta, w, theta_bar, cfg.sigma_theta, cfg.sigma_w, iterations)
     return PdhgResult(
         solution=solution,
         state=state,

@@ -358,6 +358,20 @@ class TestTune:
         oracle = solve_direct(hyper, reweighted)
         assert relative_l1(np.array(payload["theta_star"]), oracle.theta_star) <= 1e-6
 
+    def test_lambda_block_of_another_n_is_refused(self, sin_data, tmp_path, capsys):
+        # Equal weights integrate nothing; the 21-column blocks are still
+        # checked against the 10-parameter checkpoint.
+        base, rd, out = tmp_path / "base.json", tmp_path / "rd.jsonl", tmp_path / "out.json"
+        assert main(["fit", str(sin_data[0]), "--gamma", "100", "--method", "rls",
+                     "--out", str(base)]) == 0
+        assert main(["gen", "reaction-diffusion", "--count", "5", "--out", str(rd)]) == 0
+        capsys.readouterr()
+        code = main(["tune", "--checkpoint", str(base), "--lambda-block", str(rd),
+                     "--lambda", "1", "1", "--out", str(out)])
+        assert code == 1
+        assert "model expects 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_exactly_one_mode(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -848,9 +862,23 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert len(payload["rows"]) == 2
 
+    def test_csv_matches_per_row_form(self, tmp_path, capsys):
+        # One csv row per sample, the seconds written as repr(float).
+        out = tmp_path / "bench.csv"
+        code, payload = run(
+            capsys, "bench", "--method", "rls,riccati", "--n", "4", "--sizes", "10,40",
+            "--step-size", "5e-2", "--out", str(out),
+        )
+        assert code == 0
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["method", "N", "n", "m", "seconds_per_update"])
+            for row in payload["rows"]:
+                writer.writerow([row["method"], row["N"], row["n"], row["m"],
+                                 repr(row["seconds_per_update"])])
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-# gamma * theta0 overflows on purpose; NumPy warns about it on the way.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
 class TestFailedRunWritesNothing:
     """A run that exits 2 leaves no file behind: each command builds the
     solution before its first write.  The checkpoint ``bad.json`` holds a
@@ -886,6 +914,19 @@ class TestFailedRunWritesNothing:
         assert main(argv + ["--out", "out.json"]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert sorted(p.name for p in session.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "d.jsonl", "--gamma", GAMMA, "--theta0", "1e10", "--method", "rls"],
+        ["shift-bias", "--checkpoint", "ck.json", "--theta0", "1e308"],
+    ], ids=["fit", "shift-bias"])
+    def test_stderr_is_one_line(self, session, argv):
+        # A fresh process under the default warning filters, where a NumPy
+        # overflow warning would print ahead of the message.
+        done = subprocess.run([sys.executable, "-m", "ricreg.cli", *argv, "--out", "out.json"],
+                              cwd=session, env=_src_env(), capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical failure: non-finite")
+        assert len(done.stderr.splitlines()) == 1
 
 
 class TestExitCodes:

@@ -417,6 +417,13 @@ class TestTuneLambda:
         with pytest.raises(ValueError):
             tune_lambda(new_state(hyper), DataBlock(phi=[[1.0]], y=[1.0]), -1.0, 1.0, CFG)
 
+    @pytest.mark.parametrize("old, new", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0),
+                                          (1.0, np.nan), (np.inf, np.inf)])
+    def test_non_finite_weights_rejected(self, old, new):
+        st = new_state(Hyperparams(gamma=[1.0], theta0=[0.0]))
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            tune_lambda(st, DataBlock(phi=[[1.0]], y=[1.0]), old, new, CFG)
+
     def test_reweighting_matches_fresh_fit(self):
         rng = np.random.default_rng(21)
         hyper, blocks = rand_problem(rng, n_blocks=1)
@@ -436,6 +443,31 @@ class TestTuneLambda:
         oracle = solve_direct(hyper, reweighted)
         err = relative_l1(extract_solution(tuned, hyper).theta_star, oracle.theta_star)
         assert err < 1e-8
+
+
+# Every operation that runs one block's flow, as (state, block) -> state.
+_BLOCK_OPS = {
+    "add_block": lambda st, blk: add_block(st, blk, CFG),
+    "remove_block": lambda st, blk: remove_block(st, blk, CFG),
+    "tune_lambda-equal": lambda st, blk: tune_lambda(st, blk, 0.5, 0.5, CFG),
+    "tune_lambda-different": lambda st, blk: tune_lambda(st, blk, 1.0, 0.5, CFG),
+    "integrate_block-zero": lambda st, blk: integrate_block(st, blk, 0.0, CFG),
+    "rk4_step": lambda st, blk: rk4_step(st, blk, 1e-3),
+}
+
+
+class TestBlockCheck:
+    """Each flow operation checks its block before it runs, even where the
+    run itself would be empty."""
+
+    @pytest.mark.parametrize("op", list(_BLOCK_OPS.values()), ids=list(_BLOCK_OPS))
+    def test_bad_block_is_refused(self, op):
+        st = fit(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]),
+                 [DataBlock(phi=[[1.0, 0.5]], y=[1.0])], CFG)
+        with pytest.raises(ValueError, match="model expects 2"):
+            op(st, DataBlock(phi=[[1.0, 0.5, 0.25]], y=[1.0]))
+        with pytest.raises(TypeError, match="expected DataBlock"):
+            op(st, "notablock")
 
 
 class TestTuneGamma:

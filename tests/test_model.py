@@ -185,6 +185,16 @@ class TestPdhgState:
             )
         PdhgState(theta=[0.0], w=[0.0], theta_bar=[0.0], sigma_theta=0.5, sigma_w=0.5)
 
+    @pytest.mark.parametrize("sigma_theta, sigma_w", [
+        (float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, float("inf")),
+        (float("-inf"), 0.5), (0.0, 0.5),
+    ])
+    def test_step_sizes_must_be_positive_and_finite(self, sigma_theta, sigma_w):
+        # The rule of PdhgConfig: a NaN step size makes every product test false.
+        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+            PdhgState(theta=[0.0], w=[0.0, 1.0], theta_bar=[float("nan")],
+                      sigma_theta=sigma_theta, sigma_w=sigma_w)
+
 
 class TestCheckpointFormat:
     def _random_checkpoint(self, rng, with_r=True):
