@@ -29,7 +29,6 @@ from .model import (
     Hyperparams,
     ModelSolution,
     NumericsError,
-    PdhgState,
     RiccatiState,
     new_state,
     read_blocks,
@@ -54,7 +53,6 @@ __all__ = [
     "ParetoTrace",
     "PdhgConfig",
     "PdhgResult",
-    "PdhgState",
     "ProxSpec",
     "RiccatiState",
     "RlsState",

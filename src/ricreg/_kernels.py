@@ -37,9 +37,9 @@ for a state without the loss accumulator.  P always leaves a kernel exactly
 symmetric.  A kernel either raises ``NumericsError`` before it writes to p or
 q, or writes an update whose integrals c are all finite: a backward RK4 run is
 checked before its steps (``_check_backward``), an RK4 run that blows up is
-refused after them, and ``exact_dense`` refuses a run past the blow-up time.
-Whether p, q and r come out finite is checked by what holds them: the new
-state, or the trace point.
+refused after them (a forward one names a step), and ``exact_dense`` refuses
+a run past the blow-up time.  Whether p, q and r come out finite is checked by
+what holds them: the new state, or the trace point.
 """
 
 from __future__ import annotations
@@ -111,6 +111,18 @@ def _check_backward(lam, h, nsteps, last):
         )
 
 
+def _forward_hint(lam, c):
+    # ", e.g. <step>" for a forward run that blew up: 0.87 / a for the largest a
+    # in lam whose c is NaN (half of RK4's blow-up threshold h a ~ 1.74 from
+    # s = 1), rounded down to two digits so that the printed step passes too;
+    # "" unless that a is positive and finite.
+    a = max((ai for ai, ci in zip(lam, c) if math.isnan(ci)), default=0.0)
+    if not 0.0 < a < math.inf:
+        return ""
+    unit = 10.0 ** (math.floor(math.log10(0.87 / a)) - 1)
+    return f", e.g. {math.floor(0.87 / a / unit) * unit:.2g}"
+
+
 class Run(NamedTuple):
     """What one run of a kernel returns: the updated r, the factors W and bh
     of its row-space update, and, for ``rk4_diag(..., trail=True)``, the
@@ -169,7 +181,8 @@ def _rk4_integrals(a, h, nsteps, last, trail=False):
     if any(map(math.isnan, c)):
         what = ("backward integration blew up" if h < 0.0
                 else "integration produced non-finite values")
-        raise NumericsError(f"{what}; use a smaller step size")
+        hint = "" if h < 0.0 else _forward_hint(a, c)
+        raise NumericsError(f"{what}; use a smaller step size{hint}")
     if trail:
         running = running.T
         running *= h / 6.0

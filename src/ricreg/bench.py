@@ -52,25 +52,26 @@ def _random_blocks(count: int, n: int, m: int, rng: Xoshiro256pp) -> list[DataBl
 
 
 def _time_updates(updates, min_repetitions: int) -> list[float]:
-    """Median batch-average wall time of each update; batches sized so one
-    batch >= ~2 ms.  The timed rounds alternate between the updates, one
-    batch of each per round, so that a slow phase of the host hits all of
-    them alike and cancels out of their ratios."""
+    """Median batch-average process CPU time of each update (BLAS threads
+    included; other processes on the host do not count), batches sized so
+    one batch >= ~2 ms.  The timed rounds alternate between the updates, one
+    batch of each per round, so that a slow phase of the host hits all alike."""
+    clock = time.process_time
     batches = []
     for update in updates:
         update()  # warm-up (caches)
-        t0 = time.perf_counter()
+        t0 = clock()
         update()
-        once = max(time.perf_counter() - t0, 1e-9)
+        once = max(clock() - t0, 1e-9)
         batches.append(max(1, int(math.ceil(0.002 / once))))
     rounds = max(5, *(int(math.ceil(min_repetitions / b)) for b in batches))
     times = [[] for _ in updates]
     for _ in range(rounds):
         for update, batch, out in zip(updates, batches, times):
-            t0 = time.perf_counter()
+            t0 = clock()
             for _ in range(batch):
                 update()
-            out.append((time.perf_counter() - t0) / batch)
+            out.append((clock() - t0) / batch)
     return [float(np.median(t)) for t in times]
 
 

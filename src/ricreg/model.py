@@ -29,7 +29,6 @@ __all__ = [
     "Hyperparams",
     "RiccatiState",
     "ModelSolution",
-    "PdhgState",
     "Checkpoint",
     "new_state",
     "validate_block",
@@ -321,37 +320,6 @@ def _fitted_solution(theta, hyper: Hyperparams, blocks) -> ModelSolution:
     diff = theta - hyper.theta0
     reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
     return _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
-
-
-def _step_sizes(sigma_theta, sigma_w) -> tuple[float, float]:
-    """The PDHG step sizes as floats, after checking the rule they must
-    satisfy: both positive and finite, with product below 1."""
-    st, sw = float(sigma_theta), float(sigma_w)
-    if st <= 0 or sw <= 0 or not math.isfinite(st) or not math.isfinite(sw):
-        raise ValueError("step sizes must be positive and finite")
-    if st * sw >= 1.0:
-        raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
-    return st, sw
-
-
-@dataclass(frozen=True)
-class PdhgState:
-    """Primal-dual iterate pair with extrapolation and step sizes."""
-
-    theta: np.ndarray
-    w: np.ndarray
-    theta_bar: np.ndarray
-    sigma_theta: float
-    sigma_w: float
-    iteration: int = 0
-
-    def __post_init__(self):
-        theta, w, theta_bar = map(_frozen_array, (self.theta, self.w, self.theta_bar))
-        st, sw = _step_sizes(self.sigma_theta, self.sigma_w)
-        if self.iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        _init(self, {"theta": theta, "w": w, "theta_bar": theta_bar,
-                     "sigma_theta": st, "sigma_w": sw, "iteration": int(self.iteration)})
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ length-n ufunc calls, and allocates nothing: the iterates are written into
 two preallocated (chunk + 1) x n buffers.  Convergence is checked once per
 chunk, over all of its residuals at once, so a solve may compute up to 16
 iterations, or about 25% more on long solves, past the converged one and
-discard them.  The results (theta, w, theta_bar, the residual history and
-the iteration count) are bit for bit those of checking after every step.
+discard them.  The results (theta, the residual history and the iteration
+count) are bit for bit those of checking after every step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,10 @@ from .engine import IntegrationConfig, fit
 from .model import (
     Hyperparams,
     ModelSolution,
-    PdhgState,
     RiccatiState,
+    _frozen,
     _frozen_array,
     _new_solution,
-    _step_sizes,
     data_fit_value,
     validate_block,
 )
@@ -90,9 +90,17 @@ class PdhgConfig:
     x_point: np.ndarray | None = None
 
     def __post_init__(self):
-        _step_sizes(self.sigma_theta, self.sigma_w)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        st, sw = float(self.sigma_theta), float(self.sigma_w)
+        if st <= 0 or sw <= 0 or not math.isfinite(st) or not math.isfinite(sw):
+            raise ValueError("step sizes must be positive and finite")
+        if st * sw >= 1.0:
+            raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
+        try:
+            whole = operator.index(self.max_iters) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise ValueError("max_iters must be an integer >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if self.x_point is not None:
@@ -143,7 +151,6 @@ def sparsity_pattern(theta, threshold: float = 1e-8) -> np.ndarray:
 @dataclass(frozen=True)
 class PdhgResult:
     solution: ModelSolution
-    state: PdhgState
     iterations: int
     residual: float
     converged: bool
@@ -186,23 +193,19 @@ def pdhg_solve(
         raise ValueError("inner_state dimension mismatch")
     p, q = inner_state.p, inner_state.q
 
-    theta, w, theta_bar, history, residual, converged = _iterate(p, q, spec, cfg)
-    iterations = history.shape[0]
+    theta, history, residual, converged = _iterate(p, q, spec, cfg)
 
     data_fit = data_fit_value(theta, blocks)
     # Fold the linear term into reg_value so total = data_fit + reg_value.
     reg_value = regularizer_value(spec, theta) - float(x @ theta)
-    # _iterate returns a fresh theta: the solution freezes it in place.
-    solution = _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
-    state = PdhgState(theta, w, theta_bar, cfg.sigma_theta, cfg.sigma_w, iterations)
+    # _iterate returns a fresh theta and history: both are frozen in place.
     return PdhgResult(
-        solution=solution,
-        state=state,
-        iterations=iterations,
+        solution=_new_solution(theta, data_fit, reg_value, data_fit + reg_value),
+        iterations=history.shape[0],
         residual=residual,
         converged=converged,
         inner_state=inner_state,
-        residual_history=history,
+        residual_history=_frozen(history),
     )
 
 
@@ -210,10 +213,9 @@ def _iterate(p, q, spec: ProxSpec, cfg: PdhgConfig):
     """The iteration from theta = w = 0 until the primal update is at most
     ``cfg.tol`` in max norm, or for ``cfg.max_iters`` steps.
 
-    Returns theta, w, theta_bar, the residual history, the reported residual
-    and whether it converged.  Without convergence, theta and the residual are
-    those of the lowest-residual iterate (the first on ties, never a NaN one),
-    while w and theta_bar are the last.
+    Returns theta, the residual history, the reported residual and whether it
+    converged.  Without convergence, theta and the residual are those of the
+    lowest-residual iterate (the first on ties, never a NaN one).
 
     The steps run in place in two (chunk + 1) x n buffers of theta and w
     iterates, and the residuals are taken once per chunk; steps past the one
@@ -277,7 +279,6 @@ def _iterate(p, q, spec: ProxSpec, cfg: PdhgConfig):
         done += k
 
     history = np.concatenate(history)
-    theta_bar = 2.0 * th[k] - th[k - 1]
     if converged:
-        return th[k].copy(), ws[k].copy(), theta_bar, history, float(history[-1]), True
-    return best_theta, ws[k].copy(), theta_bar, history, best_residual, False
+        return th[k].copy(), history, float(history[-1]), True
+    return best_theta, history, best_residual, False

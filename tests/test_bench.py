@@ -50,7 +50,7 @@ class TestInterleavedRounds:
                 clock[0] += seconds
             return update
 
-        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(bench, "time", SimpleNamespace(process_time=lambda: clock[0]))
         medians = bench._time_updates([fake("small", 1e-3), fake("large", 2.5e-3)], 20)
         assert medians == pytest.approx([1e-3, 2.5e-3])
         # Warm-up and calibration of every size come first, then each of the

@@ -210,6 +210,22 @@ class TestFit:
         assert capsys.readouterr().err.startswith("numerical failure: normal-equations")
         assert not out.exists()
 
+    def test_forward_blow_up_names_a_step_that_passes(self, tmp_path, capsys):
+        # The first block of this stream is too stiff for the default step.
+        data, out = tmp_path / "d.jsonl", tmp_path / "ck.json"
+        assert run(capsys, "gen", "sin10x", "--count", "200", "--seed", "1",
+                   "--out", str(data))[0] == 0
+        argv = ["fit", str(data), "--gamma", "100", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        prefix = ("numerical failure: integration produced non-finite values; "
+                  "use a smaller step size, e.g. ")
+        assert err.startswith(prefix) and not out.exists()
+        step = float(err[len(prefix):])
+        assert 0.0 < step < 1e-3
+        assert run(capsys, *argv, "--step-size", repr(step))[0] == 0
+        assert out.exists()
+
     def test_empty_data_returns_prior(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("")

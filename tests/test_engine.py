@@ -899,7 +899,7 @@ class TestValuesOwnTheirArrays:
             PdhgConfig(max_iters=50), CFG,
         )
         values["pdhg_solve.solution"] = result.solution
-        values["pdhg_solve.state"] = result.state
+        values["pdhg_solve"] = result
         return values, (gamma, theta0, p, q, bias, new_gamma)
 
     def test_mutating_the_callers_arrays_changes_no_value(self):

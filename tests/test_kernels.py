@@ -276,6 +276,25 @@ class TestFailureContract:
             run(p, q)
         assert p.tobytes() == p0.tobytes() and q.tobytes() == q0.tobytes()
 
+    def test_forward_blow_up_names_a_step_that_passes(self):
+        # The largest eigenvalue of diag(d) at P = I is a = 1e4: the named
+        # step is 0.87 / a, and a unit-time run at that step passes.
+        q0 = np.random.default_rng(8).normal(size=5)
+        with pytest.raises(NumericsError) as info:
+            _diag_run(1e4, 1e-2, 100)(np.eye(5), q0.copy())
+        assert str(info.value) == _FORWARD_BLOW_UP + ", e.g. 8.7e-05"
+        nsteps = math.ceil(1.0 / 8.7e-5)
+        d = 1e4 * np.linspace(0.25, 1.0, 5)
+        p, q = np.eye(5), q0.copy()
+        run = _kernels.rk4_diag(p, q, 0.5, d, 8.7e-5, nsteps, 1.0 - (nsteps - 1) * 8.7e-5)
+        assert np.isfinite(run.r) and np.isfinite(p).all() and np.isfinite(q).all()
+
+    def test_forward_blow_up_of_a_negative_eigenvalue_names_no_step(self):
+        # At P = -I, G has a < 0, and s = 1 / (1 + a t) blows up at any step.
+        with pytest.raises(NumericsError) as info:
+            _diag_run(1e4, 1e-6, 1000)(-np.eye(5), np.zeros(5))
+        assert str(info.value) == _FORWARD_BLOW_UP
+
 
 class TestSingleRowKernel:
     """Single-row blocks against the per-step dense reference."""

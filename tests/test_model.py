@@ -13,7 +13,6 @@ from ricreg.model import (
     ModelSolution,
     NumericsError,
     data_fit_value,
-    PdhgState,
     RiccatiState,
     new_state,
     read_blocks,
@@ -174,26 +173,6 @@ class TestModelSolution:
     def test_partial_diagnostics_allowed(self):
         sol = ModelSolution(theta_star=[1.0], total_loss=3.0)
         assert sol.data_fit is None and sol.reg_value is None
-
-
-class TestPdhgState:
-    def test_step_size_product_bound(self):
-        with pytest.raises(ValueError, match="sigma"):
-            PdhgState(
-                theta=[0.0], w=[0.0], theta_bar=[0.0],
-                sigma_theta=1.0, sigma_w=1.0,
-            )
-        PdhgState(theta=[0.0], w=[0.0], theta_bar=[0.0], sigma_theta=0.5, sigma_w=0.5)
-
-    @pytest.mark.parametrize("sigma_theta, sigma_w", [
-        (float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, float("inf")),
-        (float("-inf"), 0.5), (0.0, 0.5),
-    ])
-    def test_step_sizes_must_be_positive_and_finite(self, sigma_theta, sigma_w):
-        # The rule of PdhgConfig: a NaN step size makes every product test false.
-        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
-            PdhgState(theta=[0.0], w=[0.0, 1.0], theta_bar=[float("nan")],
-                      sigma_theta=sigma_theta, sigma_w=sigma_w)
 
 
 class TestCheckpointFormat:

@@ -72,7 +72,7 @@ def _reference_iterations(n, spec, cfg, p, q):
             break
     if not converged:
         theta = best_theta
-    return theta, w, theta_bar, iterations, np.asarray(residuals)
+    return theta, iterations, np.asarray(residuals)
 
 
 class TestProxDual:
@@ -138,6 +138,20 @@ class TestPdhgSolve:
     def test_step_size_condition_rejected_up_front(self):
         with pytest.raises(ValueError, match="sigma"):
             PdhgConfig(sigma_theta=2.0, sigma_w=0.5)
+
+    @pytest.mark.parametrize("sigma_theta, sigma_w", [
+        (float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, float("inf")),
+        (float("-inf"), 0.5), (0.0, 0.5),
+    ])
+    def test_step_sizes_must_be_positive_and_finite(self, sigma_theta, sigma_w):
+        # A NaN step size makes every product test false.
+        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+            PdhgConfig(sigma_theta=sigma_theta, sigma_w=sigma_w)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", None, 0, -1])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            PdhgConfig(max_iters=max_iters)
 
     def test_quadratic_regularizer_matches_ridge_oracle(self):
         # With R quadratic and a linear term the minimizer solves
@@ -212,14 +226,9 @@ class TestPdhgMatchesReferenceIterations:
     def _check(n, blocks, spec, cfg, riccati_cfg, inner_state=None):
         res = pdhg_solve(n, blocks, spec, cfg, riccati_cfg, inner_state)
         p, q = res.inner_state.p, res.inner_state.q
-        theta, w, theta_bar, iterations, history = _reference_iterations(n, spec, cfg, p, q)
+        theta, iterations, history = _reference_iterations(n, spec, cfg, p, q)
         assert res.iterations == iterations
-        for got, want in (
-            (res.solution.theta_star, theta),
-            (res.state.w, w),
-            (res.state.theta_bar, theta_bar),
-            (res.residual_history, history),
-        ):
+        for got, want in ((res.solution.theta_star, theta), (res.residual_history, history)):
             # Bit for bit: NaN equals NaN, and -0.0 differs from 0.0.
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         finite = history[~np.isnan(history)]
