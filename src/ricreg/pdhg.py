@@ -14,18 +14,23 @@ The primal step is the ridge problem with uniform weight 1/s_t and a moving
 bias, so its flow state is integrated once up front and every iterate after
 that is a pure bias shift.  Step sizes must satisfy s_t * s_w < 1.
 
-One iteration costs one n x n matrix-vector product and about 11 in-place
-length-n ufunc calls, and allocates nothing: the iterates are written into
-two preallocated (chunk + 1) x n buffers.  Convergence is checked once per
-chunk, over all of its residuals at once, so a solve may compute up to 16
-iterations, or about 25% more on long solves, past the converged one and
-discard them.  The results (theta, the residual history and the iteration
-count) are bit for bit those of checking after every step.
+One iteration is three BLAS row combinations and the two in-place prox
+ufuncs, O(n^2) flops, and allocates nothing: the theta and w iterates are
+rows of one preallocated 2 (chunk + 1) x n buffer, and the primal step is
+one n x (n + 1) matrix-vector product with x folded into its last column.
+Convergence is checked once per chunk, over all of its residuals at once,
+so a solve may compute up to 16 iterations, or about 25% more on long
+solves, past the converged one and discard them.  The results (theta, the
+residual history and the iteration count) are bit for bit those of the same
+arithmetic checked after every step.  That arithmetic rounds differently
+from the textbook step written above; after the same number of steps the
+two thetas agree to 1e-12 max(1, |theta|_inf) (tested on converged solves).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -90,11 +95,15 @@ class PdhgConfig:
     x_point: np.ndarray | None = None
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) for v in (self.sigma_theta, self.sigma_w)):
+            raise ValueError("step sizes must be real numbers")
         st, sw = float(self.sigma_theta), float(self.sigma_w)
         if st <= 0 or sw <= 0 or not math.isfinite(st) or not math.isfinite(sw):
             raise ValueError("step sizes must be positive and finite")
         if st * sw >= 1.0:
             raise ValueError(f"step sizes must satisfy sigma_theta * sigma_w < 1, got {st * sw}")
+        object.__setattr__(self, "sigma_theta", st)
+        object.__setattr__(self, "sigma_w", sw)
         try:
             whole = operator.index(self.max_iters) >= 1
         except TypeError:
@@ -217,21 +226,28 @@ def _iterate(p, q, spec: ProxSpec, cfg: PdhgConfig):
     converged.  Without convergence, theta and the residual are those of the
     lowest-residual iterate (the first on ties, never a NaN one).
 
-    The steps run in place in two (chunk + 1) x n buffers of theta and w
-    iterates, and the residuals are taken once per chunk; steps past the one
-    that converged are discarded.
+    The iterates are rows of one 2 (chunk + 1) x n buffer, theta_j in row 2j
+    and w_j in row 2j + 1, so each linear step is one BLAS row combination:
+        y     = [theta_j / sigma_theta - w_j, 1]
+        theta = [P | q + P x] y
+        w     = prox([-sigma_w, 1, 2 sigma_w] . rows(theta_j, w_j, theta_{j+1}))
+    The residuals are taken once per chunk; steps past the one that converged
+    are discarded.
     """
     n = q.shape[0]
     tol, x = cfg.tol, cfg.x_point
-    # The scalars as 0-d arrays: the same products, at less dispatch per call.
-    sigma_theta, sigma_w, two = (np.array(v) for v in (cfg.sigma_theta, cfg.sigma_w, 2.0))
+    # [P | q + P x]: the primal step's affine map, with x folded into its
+    # last column (without x, q as it is).
+    mat = np.column_stack([p, q if x is None else q + p @ x])
+    to_y = np.array([1.0 / cfg.sigma_theta, -1.0])
+    to_w = np.array([-cfg.sigma_w, 1.0, 2.0 * cfg.sigma_w])
     (f1, a1), (f2, a2) = _prox_ops(spec, cfg.sigma_w)
-    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
-    th = np.zeros((min(_CHUNK, cfg.max_iters) + 1, n))
-    ws = np.zeros_like(th)
-    bias = np.empty(n)
-    theta_bar = np.empty(n)
-    # (theta, w, next theta, next w) row views, made as the chunks grow.
+    y = np.ones(n + 1)
+    y_head = y[:n]
+    buf = np.zeros((2 * (min(_CHUNK, cfg.max_iters) + 1), n))
+    th = buf[0::2]
+    # Per step the row views rows(theta_j, w_j), theta_{j+1},
+    # rows(theta_j, w_j, theta_{j+1}) and w_{j+1}, made as the chunks grow.
     rows = []
     history = []
     best_theta, best_residual = np.zeros(n), math.inf
@@ -239,28 +255,14 @@ def _iterate(p, q, spec: ProxSpec, cfg: PdhgConfig):
     done = 0
     while not converged and done < cfg.max_iters:
         if done:  # the last iterate of the previous chunk starts this one
-            th[0], ws[0] = th[k], ws[k]
+            buf[:2] = buf[2 * k : 2 * k + 2]
         k = min(_CHUNK, cfg.max_iters - done, max(_FIRST_CHUNK, done // 4))
-        if k > len(rows):
-            j = len(rows)
-            rows += zip(th[j:k], ws[j:k], th[j + 1 : k + 1], ws[j + 1 : k + 1])
-        for t, w, t_new, w_new in rows[:k]:
-            # bias = theta - sigma_theta (w - x); w - 0 is w to the last bit.
-            if x is None:
-                mul(sigma_theta, w, out=bias)
-            else:
-                sub(w, x, out=bias)
-                mul(sigma_theta, bias, out=bias)
-            sub(t, bias, out=bias)
-            # Minimizer of the ridge subproblem: P (Gamma bias) + q with
-            # Gamma = I / sigma_theta; only the evaluation point moves.
-            div(bias, sigma_theta, out=bias)
-            p.dot(bias, out=t_new)
-            add(t_new, q, out=t_new)
-            mul(two, t_new, out=theta_bar)
-            sub(theta_bar, t, out=theta_bar)
-            mul(sigma_w, theta_bar, out=w_new)
-            add(w, w_new, out=w_new)
+        rows += [(buf[i : i + 2], buf[i + 2], buf[i : i + 3], buf[i + 3])
+                 for i in range(2 * len(rows), 2 * k, 2)]
+        for tw, t_new, twt, w_new in rows[:k]:
+            np.dot(to_y, tw, out=y_head)
+            np.dot(mat, y, out=t_new)
+            np.dot(to_w, twt, out=w_new)
             f1(w_new, a1, out=w_new)
             f2(w_new, a2, out=w_new)
         # initial=0.0 leaves every |.| max as it is and gives 0 when n = 0.

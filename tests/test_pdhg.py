@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,26 +43,57 @@ def rand_lasso(rng):
     return n, blocks, ProxSpec(kind="weighted_l1", weights=weights)
 
 
-def _reference_iterations(n, spec, cfg, p, q):
-    # The iteration as first written (array operators, np.clip, attribute
-    # look-ups in the loop); pdhg_solve must reproduce it bit for bit.
+def _plain_prox(spec, cfg):
+    # prox_dual in plain array operations.
     def prox(v):
         if spec.kind == "weighted_l1":
             return np.clip(v, -spec.weights, spec.weights)
-        return v * spec.weights / (spec.weights + float(cfg.sigma_w))
+        return v * spec.weights / (spec.weights + cfg.sigma_w)
 
+    return prox
+
+
+def _textbook_steps(n, spec, cfg, p, q):
+    # The iteration as first written: theta_1, theta_2, ... with the primal
+    # step in the form P ((theta - sigma_theta (w - x)) / sigma_theta) + q.
+    prox = _plain_prox(spec, cfg)
     x = cfg.x_point if cfg.x_point is not None else np.zeros(n)
     theta = np.zeros(n)
     w = np.zeros(n)
-    best_theta, best_residual = theta, math.inf
-    residuals = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    while True:
         bias = theta - cfg.sigma_theta * (w - x)
         theta_new = p @ (bias / cfg.sigma_theta) + q
         theta_bar = 2.0 * theta_new - theta
         w = prox(w + cfg.sigma_w * theta_bar)
+        theta = theta_new
+        yield theta
+
+
+def _reference_steps(n, spec, cfg, p, q):
+    # The same iteration one plain step at a time in the arithmetic of
+    # pdhg._iterate: three row combinations through `@`, then the prox.
+    prox = _plain_prox(spec, cfg)
+    mat = np.column_stack([p, q if cfg.x_point is None else q + p @ cfg.x_point])
+    to_y = np.array([1.0 / cfg.sigma_theta, -1.0])
+    to_w = np.array([-cfg.sigma_w, 1.0, 2.0 * cfg.sigma_w])
+    theta = np.zeros(n)
+    w = np.zeros(n)
+    while True:
+        y = np.append(to_y @ np.stack([theta, w]), 1.0)
+        theta_new = mat @ y
+        w = prox(to_w @ np.stack([theta, w, theta_new]))
+        theta = theta_new
+        yield theta
+
+
+def _run_steps(steps, n, cfg):
+    # Checks every step: stop at the first residual <= tol, else return the
+    # lowest-residual iterate after max_iters steps.
+    theta = np.zeros(n)
+    best_theta, best_residual = theta, math.inf
+    residuals = []
+    converged = False
+    for iterations, theta_new in zip(range(1, cfg.max_iters + 1), steps):
         residual = float(np.max(np.abs(theta_new - theta))) if n else 0.0
         theta = theta_new
         residuals.append(residual)
@@ -73,6 +105,11 @@ def _reference_iterations(n, spec, cfg, p, q):
     if not converged:
         theta = best_theta
     return theta, iterations, np.asarray(residuals)
+
+
+def _reference_iterations(n, spec, cfg, p, q):
+    # pdhg_solve must reproduce this bit for bit.
+    return _run_steps(_reference_steps(n, spec, cfg, p, q), n, cfg)
 
 
 class TestProxDual:
@@ -147,6 +184,16 @@ class TestPdhgSolve:
         # A NaN step size makes every product test false.
         with pytest.raises(ValueError, match="step sizes must be positive and finite"):
             PdhgConfig(sigma_theta=sigma_theta, sigma_w=sigma_w)
+
+    @pytest.mark.parametrize("sigma_theta, sigma_w", [("0.5", 0.5), (0.5, "0.5"), (None, 0.5)])
+    def test_step_sizes_must_be_real_numbers(self, sigma_theta, sigma_w):
+        with pytest.raises(ValueError, match="step sizes must be real numbers"):
+            PdhgConfig(sigma_theta=sigma_theta, sigma_w=sigma_w)
+
+    def test_step_sizes_stored_as_python_floats(self):
+        cfg = PdhgConfig(sigma_theta=np.float32(0.25), sigma_w=np.float32(1.5))
+        assert type(cfg.sigma_theta) is float and cfg.sigma_theta == 0.25
+        assert type(cfg.sigma_w) is float and cfg.sigma_w == 1.5
 
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", None, 0, -1])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
@@ -282,6 +329,14 @@ class TestPdhgMatchesReferenceIterations:
         res = self._check(3, blocks, spec, PdhgConfig(), CFG)
         assert res.converged and res.iterations == 1 and res.residual == 0.0
 
+    def test_empty_problem_converges_on_the_first_iteration(self):
+        # n = 0: no weights, a 0 x 0 inner state and a 0 x 1 primal map.
+        inner = RiccatiState(p=np.zeros((0, 0)), q=np.zeros(0), r=None)
+        spec = ProxSpec(kind="weighted_l1", weights=np.zeros(0))
+        res = self._check(0, [], spec, PdhgConfig(), CFG, inner)
+        assert res.converged and res.iterations == 1 and res.residual == 0.0
+        assert res.solution.theta_star.shape == (0,)
+
     def test_best_iterate_in_an_earlier_chunk(self):
         # With P = 2 I the primal step doubles the bias: the iteration
         # diverges, so the best iterate is the first one and lies many chunks
@@ -303,6 +358,40 @@ class TestPdhgMatchesReferenceIterations:
             res = self._check(3, [], spec, PdhgConfig(max_iters=300), CFG, inner)
         assert np.isnan(res.residual_history).any()
         assert res.residual == res.residual_history[0]
+
+
+class TestTextbookDeviation:
+    """The row-combination arithmetic rounds differently from the textbook
+    primal step; after the same number of steps the two stay within
+    1e-12 max(1, |theta|_inf) of each other."""
+
+    @staticmethod
+    def _check(n, blocks, spec, cfg, riccati_cfg):
+        res = pdhg_solve(n, blocks, spec, cfg, riccati_cfg)
+        assert res.converged
+        p, q = res.inner_state.p, res.inner_state.q
+        steps = itertools.islice(_textbook_steps(n, spec, cfg, p, q), res.iterations - 1, None)
+        textbook = next(steps)
+        deviation = np.max(np.abs(res.solution.theta_star - textbook))
+        assert deviation <= 1e-12 * max(1.0, np.max(np.abs(textbook)))
+
+    def test_ko_equation(self):
+        from ricreg.problems import gen_ko
+
+        ko = gen_ko(grid_count=300, solver_h=1e-3, fd_h=1e-2)
+        spec = ProxSpec(kind="weighted_l1", weights=np.full(10, 0.1))
+        self._check(10, ko.equations[2], spec, PdhgConfig(), IntegrationConfig(step_h=1e-2))
+
+    @pytest.mark.parametrize("kind", ["weighted_l1", "weighted_l2_squared"])
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_random_instances(self, kind, with_x):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n, blocks, l1 = rand_lasso(rng)
+            spec = ProxSpec(kind=kind, weights=l1.weights)
+            # |x_k| < weight_k keeps the l1 problem bounded below.
+            x_point = rng.uniform(-0.9, 0.9, size=n) * spec.weights if with_x else None
+            self._check(n, blocks, spec, PdhgConfig(x_point=x_point), CFG)
 
 
 @settings(max_examples=40, deadline=None)
