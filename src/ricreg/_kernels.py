@@ -34,12 +34,12 @@ Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
 given.  Every kernel returns a ``Run``: the updated r and the factors W and
 bh.  Every run advances r (m more products bh_i^2 c_i); the engine drops it
 for a state without the loss accumulator.  P always leaves a kernel exactly
-symmetric.  A kernel either raises ``NumericsError`` before it writes to p or
-q, or writes an update whose integrals c are all finite: a backward RK4 run is
-checked before its steps (``_check_backward``), an RK4 run that blows up is
-refused after them (a forward one names a step), and ``exact_dense`` refuses
-a run past the blow-up time.  Whether p, q and r come out finite is checked by
-what holds them: the new state, or the trace point.
+symmetric.  A kernel either raises ``NumericsError`` before its first step,
+or writes an update whose integrals c are all finite: ``_check_run`` refuses
+an RK4 run from the eigenvalues a alone (naming a step that passes, where one
+does), and ``exact_dense`` refuses a run past the blow-up time.  Whether p, q
+and r come out finite is checked by what holds them: the new state, or the
+trace point.
 """
 
 from __future__ import annotations
@@ -60,12 +60,11 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
     # then one of size last, written through the stage factors m_j (which
     # depend on g = step a s / 2 alone).  Returns c = sum_k (step_k / 6)
     # (m1^2 + 2 m2^2 + 2 m3^2 + m4^2) s_k^2, the RK4 integral of s^2 with
-    # s = 1 - c a, or NaN if the run blows up.  ``trail`` (a float64
-    # memoryview of length nsteps - 1), if given, receives at k the running
-    # sum after step k + 1 of size h, in units of h/6.
+    # s = 1 - c a, finite for every run that ``_check_run`` passes.  ``trail``
+    # (a float64 memoryview of length nsteps - 1), if given, receives at k the
+    # running sum after step k + 1 of size h, in units of h/6.
     s = 1.0
     c = 0.0
-    inf = math.inf
     for step, count, record in ((h, nsteps - 1, trail), (last, 1, None)):
         half_ha = 0.5 * step * a
         ha6 = step * a / 6.0
@@ -79,8 +78,6 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
             m4 = 1.0 - (g + g) * m3sq
             w = (1.0 + 2.0 * (m2sq + m3sq) + m4 * m4) * (s * s)
             acc += w
-            if not acc < inf:  # w >= 0, so acc only grows: this catches inf and NaN
-                return math.nan
             s -= ha6 * w
             if record is not None:
                 record[k] = acc
@@ -88,39 +85,45 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
     return c
 
 
-def _check_backward(lam, h, nsteps, last):
-    # Refuse a backward run (h < 0) of duration T that RK4 cannot follow.  Along
-    # the eigenvector of G with eigenvalue a the exact flow grows like
-    # 1 / (1 - a t): a T >= 1 passes its blow-up (what the run removes was never
-    # added), and |h| a / (1 - a T) > 2 is the stability limit h g p <= 2 at the
-    # end of the run.  Both only tighten as a grows, so the largest a decides.
-    a = max(lam, default=0.0)
-    duration = -h * (nsteps - 1) - last
-    step = -h if nsteps > 1 else -last
-    if a * duration >= 1.0:
-        raise NumericsError(
-            f"backward run of length {duration:.6g} reaches the blow-up time "
-            f"{1.0 / a:.6g} of this state: what it removes was never added, and no "
-            "smaller step size can follow it"
-        )
-    if step * a > 2.0 * (1.0 - a * duration):
-        limit = 2.0 * (1.0 - a * duration) / a
-        raise NumericsError(
-            f"backward run is too stiff for RK4 at step size {step:.3g} (stable up "
-            f"to {limit:.2g}); use a smaller step size, e.g. {0.1 * limit:.2g}"
-        )
+# One RK4 step of ds/dt = -a s^2 from s = 1 ends in (0, 1) for step a below
+# this float, and at s <= 0 from it on.
+_DECAY_LIMIT = 1.739456880737028
 
 
-def _forward_hint(lam, c):
-    # ", e.g. <step>" for a forward run that blew up: 0.87 / a for the largest a
-    # in lam whose c is NaN (half of RK4's blow-up threshold h a ~ 1.74 from
-    # s = 1), rounded down to two digits so that the printed step passes too;
-    # "" unless that a is positive and finite.
-    a = max((ai for ai, ci in zip(lam, c) if math.isnan(ci)), default=0.0)
-    if not 0.0 < a < math.inf:
-        return ""
-    unit = 10.0 ** (math.floor(math.log10(0.87 / a)) - 1)
-    return f", e.g. {math.floor(0.87 / a / unit) * unit:.2g}"
+def _check_run(a, h, nsteps, last):
+    # Refuse, before its first step, a run over the eigenvalues a of G that RK4
+    # cannot follow; a run that passes has finite integrals.  With b = a signed
+    # by the direction of the run, a decaying flow (b > 0) is stiffest at its
+    # first step, from s = 1, and stays in (0, 1) while |step| b < _DECAY_LIMIT.
+    # On a growing one (b < 0) RK4 stays below the exact s = 1 / (1 - |b| t):
+    # |b T| >= 1 passes its blow-up, and |step b| / (1 - |b T|) > 2 is past the
+    # stability limit at the end of the run.  The extreme b of each side decides.
+    if not all(map(math.isfinite, a)):
+        raise NumericsError("phi P phi' is not finite: no step size can follow this run")
+    ends = [0.0, *a]  # 0 stands in for a side with no eigenvalue
+    lo, hi = min(ends), max(ends)
+    back = h < 0.0
+    decay, grow = (-lo, hi) if back else (hi, -lo)
+    what = "backward run" if back else "forward run"
+    duration, step = abs(h * (nsteps - 1) + last), abs(h if nsteps > 1 else last)
+    if grow * duration >= 1.0:
+        cause = "what it removes was never added" if back else "P is not positive definite"
+        raise NumericsError(
+            f"{what} of length {duration:.6g} reaches the blow-up time {1.0 / grow:.6g} "
+            f"of this state: {cause}, and no smaller step size can follow it")
+    if step * grow > 2.0 * (1.0 - grow * duration):
+        limit = 2.0 * (1.0 - grow * duration) / grow
+        hint = 0.1 * limit
+    elif step * decay >= _DECAY_LIMIT:
+        # 0.87 / b, half the limit, rounded down to two digits so that it passes.
+        limit = _DECAY_LIMIT / decay
+        unit = 10.0 ** (math.floor(math.log10(0.87 / decay)) - 1)
+        hint = math.floor(0.87 / decay / unit) * unit
+    else:
+        return
+    raise NumericsError(
+        f"{what} is too stiff for RK4 at step size {step:.3g} (stable up to {limit:.2g}); "
+        f"use a smaller step size, e.g. {hint:.2g}")
 
 
 class Run(NamedTuple):
@@ -151,9 +154,12 @@ def _factors(p, q, phi, y):
         y = y_in
     u = p.T.dot(phi.T)
     b = phi.dot(q) - y
+    # A G that overflows gives a non-finite a, which the runs refuse.  For one
+    # row vdot, the same BLAS ddot as dot here, does so without NumPy's
+    # overflow warning; an errstate would cost more than the checks of a run.
+    if len(phi) == 1:
+        return [float(np.vdot(phi, u))], u, b, loss_rate
     g = phi.dot(u)
-    if g.shape[0] == 1:
-        return g[0].tolist(), u, b, loss_rate
     a, v = np.linalg.eigh(0.5 * (g + g.T))
     return a.tolist(), u.dot(v), b.dot(v), loss_rate
 
@@ -173,16 +179,10 @@ def _update(p, q, r, w, bh, c, loss):
 def _rk4_integrals(a, h, nsteps, last, trail=False):
     # c_i = _rk4_decay(a_i): RK4 commutes with the orthogonal change of
     # variables.  With ``trail``, also the running integrals of ``Run``.
-    if h < 0.0:
-        _check_backward(a, h, nsteps, last)
+    _check_run(a, h, nsteps, last)
     running = np.empty((len(a), nsteps - 1)) if trail else None
     rows = map(memoryview, running) if trail else [None] * len(a)
     c = [_rk4_decay(ai, h, nsteps, last, row) for ai, row in zip(a, rows)]
-    if any(map(math.isnan, c)):
-        what = ("backward integration blew up" if h < 0.0
-                else "integration produced non-finite values")
-        hint = "" if h < 0.0 else _forward_hint(a, c)
-        raise NumericsError(f"{what}; use a smaller step size{hint}")
     if trail:
         running = running.T
         running *= h / 6.0
@@ -205,7 +205,7 @@ def rk4_dense(p, q, r, phi, y, h, nsteps, last=None):
 
 def exact_dense(p, q, r, phi, y, duration):
     # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
-    # run past the blow-up time (``_check_backward``); a NaN a is refused too.
+    # run past the blow-up time (as in ``_check_run``); a NaN a is refused too.
     a, w, bh, loss_rate = _factors(p, q, phi, y)
     dens = [1.0 + ai * duration for ai in a]
     if not all(den > 0.0 for den in dens):

@@ -10,15 +10,17 @@ regularization weights can be retuned through an auxiliary diagonal flow, and
 the prior bias can be moved by a pure matrix-vector evaluation.
 
 All operations are pure: they take a state and return a new one, or raise
-``NumericsError``.  A kernel raises before it writes or yields finite
-integrals; the new state checks its own p, q and r, and a traced sweep each
-phase's points before it appends them, so a failed phase appends nothing.
+``NumericsError``.  A kernel refuses a run before its first step, from the
+eigenvalues of phi P phi' alone, or yields finite integrals; the new state
+checks its own p, q and r, and a traced sweep each phase's points before it
+appends them, so a failed phase appends nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +73,12 @@ class IntegrationConfig:
     step_h: float = 1e-3
 
     def __post_init__(self):
-        if not (self.step_h > 0.0) or not math.isfinite(self.step_h):
-            raise ValueError(f"step_h must be positive and finite, got {self.step_h}")
+        if not isinstance(self.step_h, numbers.Real):
+            raise ValueError(f"step_h must be a real number, got {self.step_h!r}")
+        h = float(self.step_h)
+        if not (h > 0.0) or not math.isfinite(h):
+            raise ValueError(f"step_h must be positive and finite, got {h}")
+        object.__setattr__(self, "step_h", h)
 
 
 @dataclass(frozen=True)

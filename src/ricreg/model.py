@@ -43,6 +43,13 @@ __all__ = [
 CHECKPOINT_VERSION = "1"
 
 
+def _check_version(version) -> str:
+    """``version`` itself if it is the one this library reads and writes."""
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    return version
+
+
 class NumericsError(RuntimeError):
     """Numerical failure: non-finite integration, lost definiteness, bad solve."""
 
@@ -333,6 +340,7 @@ class Checkpoint:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_version(self.version)
         if self.n != self.hyperparams.n or self.n != self.state.n:
             raise ValueError("checkpoint dimension mismatch")
         meta = {str(k): str(v) for k, v in self.metadata.items()}
@@ -371,9 +379,7 @@ def checkpoint_to_dict(ck: Checkpoint) -> dict:
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
     try:
-        version = str(doc["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r}")
+        version = _check_version(str(doc["version"]))
         n = int(doc["n"])
         hyper = Hyperparams(gamma=doc["gamma"], theta0=doc["theta0"])
         p = np.array(doc["p"], dtype=float).reshape(n, n)

@@ -218,10 +218,9 @@ class TestFit:
         argv = ["fit", str(data), "--gamma", "100", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        prefix = ("numerical failure: integration produced non-finite values; "
-                  "use a smaller step size, e.g. ")
+        prefix = "numerical failure: forward run is too stiff for RK4 at step size 0.001 "
         assert err.startswith(prefix) and not out.exists()
-        step = float(err[len(prefix):])
+        step = float(err.rsplit("use a smaller step size, e.g. ", 1)[1])
         assert 0.0 < step < 1e-3
         assert run(capsys, *argv, "--step-size", repr(step))[0] == 0
         assert out.exists()
@@ -494,6 +493,22 @@ class TestPdhg:
         assert code == 0
         assert second["theta_star"] == first["theta_star"]
 
+    def test_run_stopped_at_max_iters_keeps_its_inner_checkpoint(self, tmp_path, capsys):
+        # The inner state is exact whatever the iteration count, so a run that
+        # stops at --max-iters exits 2 and still writes it, and a run with
+        # more iterations converges from it.
+        data = tmp_path / "one.jsonl"
+        write_blocks([DataBlock(phi=[[1.0]], y=[1.0])], data)
+        inner = tmp_path / "inner.json"
+        argv = ["pdhg", str(data), "--reg", "l1", "--reg-weight", "0.1"]
+        code, payload = run(capsys, *argv, "--step-size", "1e-4", "--max-iters", "1",
+                            "--out", str(inner))
+        assert code == 2 and not payload["converged"]
+        assert read_checkpoint(inner).metadata["converged"] == "False"
+        code, payload = run(capsys, *argv, "--checkpoint", str(inner), "--max-iters", "1000")
+        assert code == 0 and payload["converged"]
+        assert abs(payload["theta_star"][0] - 0.9) <= 1e-6
+
     def test_checkpoint_with_wrong_gamma_rejected(self, tmp_path, capsys):
         data = tmp_path / "one.jsonl"
         write_blocks([DataBlock(phi=[[1.0]], y=[1.0])], data)
@@ -526,7 +541,7 @@ class TestPdhg:
         assert code == 2
         assert err.startswith(
             "numerical failure: the inner ridge fit at gamma = 1/sigma_theta = 2.0 failed: "
-            "integration produced non-finite values; use a smaller step size"
+            "forward run is too stiff for RK4 at step size 0.001"
         )
         assert f"`ricreg fit {path} --method rls --gamma 2.0 --out INNER.json`" in err
         assert "--checkpoint INNER.json" in err

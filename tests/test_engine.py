@@ -122,6 +122,24 @@ class TestRk4Step:
                     integrate_block(st, blk, 5.0, IntegrationConfig(step_h=h), direction)
 
 
+    def test_overflowing_block_is_refused_without_runtime_warnings(self):
+        # G = phi P phi' overflows, so its eigenvalue is not finite and no step
+        # size can follow the run.
+        st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))
+        blk = DataBlock(phi=[[1e200, 1.0]], y=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericsError, match="not finite: no step size"):
+                add_block(st, blk, CFG)
+
+    def test_overflowing_multi_row_block_is_refused(self):
+        # The same for two rows, whose G product NumPy reports as an overflow.
+        st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))
+        blk = DataBlock(phi=[[1e200, 1.0], [1.0, 2e200]], y=[1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="not finite: no step size"):
+                add_block(st, blk, CFG)
+
     def test_multi_row_blow_up_is_reported_without_runtime_warnings(self):
         # Removing a 2-row block that was never added: the row-space loops
         # overflow and the whole state must be reported, without warnings.
@@ -131,6 +149,18 @@ class TestRk4Step:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericsError, match="smaller step"):
                 integrate_block(st, blk, 5.0, IntegrationConfig(step_h=0.05), "backward")
+
+
+class TestIntegrationConfig:
+    @pytest.mark.parametrize("step_h", ["0.1", None, [0.1], 1j])
+    def test_step_h_must_be_a_real_number(self, step_h):
+        with pytest.raises(ValueError, match="step_h must be a real number"):
+            IntegrationConfig(step_h=step_h)
+
+    @pytest.mark.parametrize("step_h", [np.float32(0.1), np.float64(0.1), 1, True])
+    def test_step_h_is_stored_as_a_python_float(self, step_h):
+        cfg = IntegrationConfig(step_h=step_h)
+        assert type(cfg.step_h) is float and cfg.step_h == float(step_h)
 
 
 class TestFailEarly:
@@ -164,6 +194,21 @@ class TestFailEarly:
         step = float(str(info.value).rsplit("e.g. ", 1)[1])
         back = remove_block(st, blk, IntegrationConfig(step_h=step))
         assert abs(back.p[0, 0] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("lam", [0.25, 0.75])
+    def test_stiff_addition_is_refused_with_a_step_that_passes(self, lam):
+        # phi = 3 at P = 1 and h = 0.25: h a = 2.25 is past RK4's limit.  Run
+        # through, one step (lam = 0.25) gives P = -0.625 and three give
+        # P = -2e25; the exact P is 1 / (1 + 9 lam).
+        st = new_state(Hyperparams(gamma=[1.0], theta0=[0.0]))
+        blk = DataBlock(phi=[[3.0]], y=[1.0], lam=lam)
+        with pytest.raises(NumericsError, match="too stiff for RK4") as info:
+            add_block(st, blk, IntegrationConfig(step_h=0.25))
+        # The named step (h a = 0.87) passes, within 1% of the exact P.
+        step = float(str(info.value).rsplit("e.g. ", 1)[1])
+        added = add_block(st, blk, IntegrationConfig(step_h=step))
+        exact = 1.0 / (1.0 + 9.0 * lam)
+        assert abs(added.p[0, 0] - exact) < 1e-2 * exact
 
     def test_never_added_block_is_refused_before_integrating(self):
         st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))

@@ -236,33 +236,43 @@ def _diag_run(scale, h, nsteps):
     return lambda p, q: _kernels.rk4_diag(p, q, 0.5, d, h, nsteps)
 
 
+def _stiff_run(nsteps):
+    # phi = 3 e1 at P = I and h = 0.25: h a = 2.25 is past RK4's limit, though
+    # the run stays finite.  Run through, one step gives P11 = -0.625 (exact
+    # 0.308) and three give P11 = -2e25.
+    phi = np.array([[3.0, 0.0, 0.0, 0.0, 0.0]])
+    return lambda p, q: _kernels.rk4_dense(p, q, 0.5, phi, np.ones(1), 0.25, nsteps)
+
+
 def _exact_run(duration):
     phi, y = _unit_block(2)
     return lambda p, q: _kernels.exact_dense(p, q, 0.5, phi, y, duration)
 
 
-_FORWARD_BLOW_UP = "integration produced non-finite values; use a smaller step size"
+_FORWARD_STIFF = "forward run is too stiff for RK4"
 
 
 class TestFailureContract:
     """A kernel either raises ``NumericsError`` before it writes to p or q, or
     writes an update with finite integrals.  Every case starts from P = +-I,
     where the largest eigenvalue a of G is the block's scale (negated at
-    P = -I): a forward run with h a = 100 blows up, a backward run of length T
-    with a T >= 1 removes what was never added, and one step with a T = 0.9
-    is past RK4's stability limit."""
+    P = -I): a forward run with h a = 100 is too stiff, a backward run of
+    length T with a T >= 1 removes what was never added, and one step with
+    a T = 0.9 is past RK4's stability limit."""
 
     @pytest.mark.parametrize("sign, run, match", [
-        pytest.param(1.0, _dense_run(1, 1e4, 1e-2, 100), _FORWARD_BLOW_UP,
+        pytest.param(1.0, _dense_run(1, 1e4, 1e-2, 100), _FORWARD_STIFF,
                      id="dense-m1-forward"),
         pytest.param(1.0, _dense_run(1, 1.0, -0.02, 100), "never added",
                      id="dense-m1-backward"),
-        pytest.param(1.0, _dense_run(4, 1e4, 1e-2, 100), _FORWARD_BLOW_UP,
+        pytest.param(1.0, _dense_run(4, 1e4, 1e-2, 100), _FORWARD_STIFF,
                      id="dense-m4-forward"),
         pytest.param(1.0, _dense_run(4, 1.0, -0.9, 1), "too stiff for RK4",
                      id="dense-m4-backward"),
-        pytest.param(1.0, _diag_run(1e4, 1e-2, 100), _FORWARD_BLOW_UP, id="diag-forward"),
+        pytest.param(1.0, _diag_run(1e4, 1e-2, 100), _FORWARD_STIFF, id="diag-forward"),
         pytest.param(1.0, _diag_run(1.0, -0.9, 1), "too stiff for RK4", id="diag-backward"),
+        pytest.param(1.0, _stiff_run(1), _FORWARD_STIFF, id="dense-finite-one-step"),
+        pytest.param(1.0, _stiff_run(3), _FORWARD_STIFF, id="dense-finite-three-steps"),
         # An add is refused only where G has an eigenvalue a <= -1/T, here
         # from the indefinite P = -I.
         pytest.param(-1.0, _exact_run(2.0), "ill-conditioned update solve", id="exact-add"),
@@ -282,7 +292,9 @@ class TestFailureContract:
         q0 = np.random.default_rng(8).normal(size=5)
         with pytest.raises(NumericsError) as info:
             _diag_run(1e4, 1e-2, 100)(np.eye(5), q0.copy())
-        assert str(info.value) == _FORWARD_BLOW_UP + ", e.g. 8.7e-05"
+        assert str(info.value) == (
+            _FORWARD_STIFF + " at step size 0.01 (stable up to 0.00017); "
+            "use a smaller step size, e.g. 8.7e-05")
         nsteps = math.ceil(1.0 / 8.7e-5)
         d = 1e4 * np.linspace(0.25, 1.0, 5)
         p, q = np.eye(5), q0.copy()
@@ -290,10 +302,69 @@ class TestFailureContract:
         assert np.isfinite(run.r) and np.isfinite(p).all() and np.isfinite(q).all()
 
     def test_forward_blow_up_of_a_negative_eigenvalue_names_no_step(self):
-        # At P = -I, G has a < 0, and s = 1 / (1 + a t) blows up at any step.
+        # At P = -I, G has a = -1e4, and s = 1 / (1 + a t) blows up at
+        # t = 1e-4, inside the run, whatever the step.
         with pytest.raises(NumericsError) as info:
             _diag_run(1e4, 1e-6, 1000)(-np.eye(5), np.zeros(5))
-        assert str(info.value) == _FORWARD_BLOW_UP
+        assert str(info.value) == (
+            "forward run of length 0.001 reaches the blow-up time 0.0001 of this "
+            "state: P is not positive definite, and no smaller step size can follow it")
+
+
+def _one_step(x):
+    # s after one RK4 step of ds/dt = -s^2 of size x from s = 1.
+    return 1.0 - _kernels._rk4_decay(1.0, x, 1, x)
+
+
+class TestPreCheck:
+    """``_check_run`` refuses every RK4 run it cannot follow before its first
+    step, from the eigenvalues a alone; every run it passes has finite
+    integrals."""
+
+    def test_decaying_step_stays_in_the_unit_interval_below_the_limit(self):
+        limit = _kernels._DECAY_LIMIT
+        below = math.nextafter(limit, 0.0)
+        assert 0.0 < _one_step(below) < 1.0
+        assert _one_step(limit) <= 0.0
+        assert all(0.0 < _one_step(x) < 1.0 for x in np.linspace(1e-9, below, 1001))
+
+    def test_growing_step_stays_below_the_exact_factor(self):
+        # From s = 1, one backward step of size x has the exact factor 1 / (1 - x).
+        eps = np.finfo(float).eps
+        for x in np.linspace(1e-9, 1.0 - 1e-9, 10_001).tolist():
+            assert _one_step(-x) <= (1.0 + 4.0 * eps) / (1.0 - x)
+
+    # Each a is drawn as its product with |h|, around both limits.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ha=hst.lists(hst.one_of(hst.floats(-2.0, 2.0),
+                                hst.sampled_from([math.inf, -math.inf, math.nan])),
+                     min_size=1, max_size=4),
+        h=hst.floats(1e-6, 10.0),
+        backward=hst.booleans(),
+        nsteps=hst.integers(1, 50),
+        share=hst.floats(0.01, 1.0),
+    )
+    def test_refuses_before_any_step_or_integrates_finitely(
+        self, ha, h, backward, nsteps, share
+    ):
+        a = [x / h for x in ha]
+        h = -h if backward else h
+        calls = []
+        decay = _kernels._rk4_decay
+
+        def counted(*args):
+            calls.append(args)
+            return decay(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_rk4_decay", counted)
+            try:
+                c, _ = _kernels._rk4_integrals(a, h, nsteps, share * h)
+            except NumericsError:
+                assert not calls
+            else:
+                assert len(calls) == len(a) and all(map(math.isfinite, c))
 
 
 class TestSingleRowKernel:

@@ -224,6 +224,14 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="version"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("version", ["2", 1, "1.0"])
+    def test_unsupported_version_refused_at_construction(self, tmp_path, version):
+        # A checkpoint that read_checkpoint would refuse is never built, so
+        # never written.
+        ck = self._random_checkpoint(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            Checkpoint(version=version, n=ck.n, hyperparams=ck.hyperparams, state=ck.state)
+
     def test_required_keys_present(self, tmp_path):
         ck = self._random_checkpoint(np.random.default_rng(2))
         path = tmp_path / "ck.json"
