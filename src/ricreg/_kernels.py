@@ -11,11 +11,11 @@ the m integrals, and one rank-m update in place (``_update``).  The RK4
 kernels integrate with ``_rk4_decay`` (m scalar loops, equal to the per-step
 references in ``tests/test_kernels.py`` to rounding); ``exact_dense`` takes
 the closed form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and
-refuses a run with some 1 + a T <= 0.  The diagonal flow with weights d >= 0
-is the data flow of phi = diag(sqrt(d)), restricted to the rows with d > 0,
-and y = 0, so ``rk4_dense`` and ``rk4_diag`` share one body (``_rk4``).  The
-only other loop is ``integrate_ko``, a scalar RK4 loop over the three floats
-of the KO trajectory.
+refuses a run with a non-finite a or some 1 + a T <= 0.  The diagonal flow
+with weights d >= 0 is the data flow of phi = diag(sqrt(d)), restricted to the
+rows with d > 0, and y = 0, so ``rk4_dense`` and ``rk4_diag`` share one body
+(``_rk4``).  The only other loop is ``integrate_ko``, a scalar RK4 loop over
+the three floats of the KO trajectory.
 
 Vector fields, for feature matrix ``phi`` (m x n) and target ``y`` (m):
 
@@ -37,9 +37,9 @@ for a state without the loss accumulator.  P always leaves a kernel exactly
 symmetric.  A kernel either raises ``NumericsError`` before its first step,
 or writes an update whose integrals c are all finite: ``_check_run`` refuses
 an RK4 run from the eigenvalues a alone (naming a step that passes, where one
-does), and ``exact_dense`` refuses a run past the blow-up time.  Whether p, q
-and r come out finite is checked by what holds them: the new state, or the
-trace point.
+does), and ``exact_dense`` refuses one with a non-finite a or past the
+blow-up time.  Whether p, q and r come out finite is checked by what holds
+them: the new state, or the trace point.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
 _DECAY_LIMIT = 1.739456880737028
 
 
+def _check_finite(a):
+    # A G that overflows: neither RK4 nor the closed form can follow its run.
+    if not all(map(math.isfinite, a)):
+        raise NumericsError("phi P phi' is not finite: no step size can follow this run")
+
+
 def _check_run(a, h, nsteps, last):
     # Refuse, before its first step, a run over the eigenvalues a of G that RK4
     # cannot follow; a run that passes has finite integrals.  With b = a signed
@@ -98,8 +104,7 @@ def _check_run(a, h, nsteps, last):
     # On a growing one (b < 0) RK4 stays below the exact s = 1 / (1 - |b| t):
     # |b T| >= 1 passes its blow-up, and |step b| / (1 - |b T|) > 2 is past the
     # stability limit at the end of the run.  The extreme b of each side decides.
-    if not all(map(math.isfinite, a)):
-        raise NumericsError("phi P phi' is not finite: no step size can follow this run")
+    _check_finite(a)
     ends = [0.0, *a]  # 0 stands in for a side with no eigenvalue
     lo, hi = min(ends), max(ends)
     back = h < 0.0
@@ -169,8 +174,10 @@ def _update(p, q, r, w, bh, c, loss):
     # returns the new r.  Every c_i is finite.
     wc = w * np.array(c)
     p -= wc.dot(w.T)
-    # One pass over the result makes both p0 and the update symmetric.
-    p[:] = 0.5 * (p + p.T)
+    # One pass over the result makes both p0 and the update symmetric.  NumPy
+    # buffers p.T, which overlaps p, so each entry sums the old p_ij + p_ji.
+    p += p.T
+    p *= 0.5
     q -= wc.dot(bh)
     fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])
     return r - 0.5 * (fit_loss + loss)
@@ -204,9 +211,11 @@ def rk4_dense(p, q, r, phi, y, h, nsteps, last=None):
 
 
 def exact_dense(p, q, r, phi, y, duration):
-    # The exact flow over the signed ``duration`` T.  Some 1 + a T <= 0 is a
-    # run past the blow-up time (as in ``_check_run``); a NaN a is refused too.
+    # The exact flow over the signed ``duration`` T.  A non-finite a is refused
+    # as in ``_check_run`` (an infinite one would pass the test below and give
+    # c = 0); some 1 + a T <= 0 is a run past the blow-up time.
     a, w, bh, loss_rate = _factors(p, q, phi, y)
+    _check_finite(a)
     dens = [1.0 + ai * duration for ai in a]
     if not all(den > 0.0 for den in dens):
         raise NumericsError(

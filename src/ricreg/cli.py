@@ -29,6 +29,7 @@ from .model import (
     Hyperparams,
     NumericsError,
     RiccatiState,
+    _finite,
     read_blocks,
     read_checkpoint,
     weighted_rows,
@@ -404,7 +405,7 @@ def _read_truth_csv(path, column: str | None) -> np.ndarray:
                                 ndmin=1) if len(lines) > header else None
         except ValueError:  # a short row or a value loadtxt cannot parse
             values = None
-        if values is not None and np.isfinite(values).all():
+        if values is not None and _finite(values):
             return values
     reader = csv.reader(io.StringIO(text, newline=""))
     first = next((row for row in reader if not _blank(row)), None)

@@ -32,6 +32,8 @@ from .model import (
     ModelSolution,
     NumericsError,
     RiccatiState,
+    _check_evaluation_point,
+    _finite,
     _fitted_solution,
     _frozen,
     _new_solution,
@@ -210,10 +212,12 @@ def integrate_block(
 
 def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
     """Integrate all blocks in order from the fresh state p = diag(1/gamma),
-    q = 0, r = 0.  Every block is checked before the first is integrated."""
+    q = 0, r = 0.  Every block, and the evaluation point gamma * theta0, is
+    checked before the first block is integrated."""
     blocks = list(blocks)
     for block in blocks:
         validate_block(block, hyper.n)
+    _check_evaluation_point(hyper)
     state = new_state(hyper)
     for block in blocks:
         if block.lam != 0.0:
@@ -226,13 +230,13 @@ def loss_from_state(state: RiccatiState, hyper: Hyperparams) -> float:
     if state.r is None:
         raise ValueError("loss accumulator was not tracked for this state")
     x = hyper.evaluation_point()
-    return _loss_identity(state, hyper, x, state.p @ x)
+    return _loss_identity(state, hyper, x, state.p.dot(x))
 
 
 def _loss_identity(state, hyper, x, px) -> float:
     # loss_from_state at the evaluation point x, given px = P x.
-    s_value = 0.5 * float(x @ px) + float(state.q @ x) + state.r
-    return -s_value + 0.5 * float(hyper.theta0 @ x)
+    s_value = 0.5 * float(x.dot(px)) + float(state.q.dot(x)) + state.r
+    return -s_value + 0.5 * float(hyper.theta0.dot(x))
 
 
 def extract_solution(
@@ -243,12 +247,15 @@ def extract_solution(
     When ``blocks`` are given, the data-fit and regularization values are
     evaluated directly (and total_loss is their sum).  Otherwise total_loss is
     recovered from the value function when the loss accumulator was tracked,
-    and the split is left unset.
+    and the split is left unset.  Without blocks the query is one
+    matrix-vector product, the three dot products of the loss when r is
+    tracked, and one finiteness scan of theta*; the products are BLAS ``dot``
+    calls and give the bits of their ``@`` forms.
     """
     if state.n != hyper.n:
         raise ValueError("state and hyperparams dimension mismatch")
     x = hyper.evaluation_point()
-    px = state.p @ x
+    px = state.p.dot(x)
     theta = px + state.q
     if blocks is not None:
         return _fitted_solution(theta, hyper, blocks)
@@ -288,7 +295,7 @@ def tune_lambda(
 
 def _append_points(trace, chunks) -> None:
     # The points join the trace only if every one is finite.
-    if not all(np.isfinite(column).all() for chunk in chunks for column in chunk):
+    if not all(_finite(column) for chunk in chunks for column in chunk):
         raise NumericsError("non-finite trace point")
     trace._chunks.extend(tuple(map(_frozen, chunk)) for chunk in chunks)
 
@@ -397,6 +404,10 @@ def tune_gamma(
 
 
 def shift_bias(state: RiccatiState, hyper: Hyperparams, new_theta0) -> ModelSolution:
-    """Move the prior bias: pure O(n^2) evaluation, no integration, no data."""
+    """Move the prior bias: pure O(n^2) evaluation, no integration, no data.
+
+    One matrix-vector product, three dot products and two finiteness scans,
+    of the new bias and of theta*: ``extract_solution`` under the new bias.
+    """
     new_hyper = hyper.with_theta0(new_theta0)
     return extract_solution(state, new_hyper)

@@ -54,6 +54,14 @@ class NumericsError(RuntimeError):
     """Numerical failure: non-finite integration, lost definiteness, bad solve."""
 
 
+def _finite(arr) -> bool:
+    """Whether every entry of the array ``arr`` is finite (True when it is
+    empty).  Counting the finite entries costs half of ``np.isfinite(arr).all()``
+    on a vector, whose boolean reduction is the slow part."""
+    finite = np.isfinite(arr)
+    return np.count_nonzero(finite) == finite.size
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """A read-only copy of ``values``: for arrays from outside the library."""
     return _frozen(np.array(values, dtype=dtype, copy=True))
@@ -102,7 +110,7 @@ class DataBlock:
         lam = float(self.lam)
         if not math.isfinite(lam) or lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        if not np.isfinite(phi).all() or not np.isfinite(y).all():
+        if not _finite(phi) or not _finite(y):
             raise ValueError("phi and y must be finite")
         _init(self, {"phi": phi, "y": y, "lam": lam})
 
@@ -187,6 +195,17 @@ class Hyperparams:
         return _adopt(Hyperparams, fields)
 
 
+def _check_evaluation_point(hyper: Hyperparams) -> None:
+    """Refuse hyper-parameters whose evaluation point gamma * theta0
+    overflows, before a fit integrates anything: every minimizer
+    P (gamma * theta0) + q would be non-finite.  A query does not run it;
+    its minimizer's own scan refuses such a point."""
+    with np.errstate(over="ignore"):
+        x = hyper.evaluation_point()
+    if not _finite(x):
+        raise NumericsError("non-finite minimizer: gamma * theta0 overflows")
+
+
 def _hyper_fields(gamma, theta0, new_gamma=True, new_theta0=True) -> dict:
     # The checks of Hyperparams, in the constructor's order; the scans of
     # values run only for the arrays that are new, the others being the
@@ -197,9 +216,7 @@ def _hyper_fields(gamma, theta0, new_gamma=True, new_theta0=True) -> dict:
         raise ValueError(
             f"gamma length {gamma.shape[0]} != theta0 length {theta0.shape[0]}"
         )
-    if (new_gamma and not np.isfinite(gamma).all()) or (
-        new_theta0 and not np.isfinite(theta0).all()
-    ):
+    if (new_gamma and not _finite(gamma)) or (new_theta0 and not _finite(theta0)):
         raise ValueError("gamma and theta0 must be finite")
     if new_gamma and (gamma <= 0.0).any():
         raise ValueError("every gamma entry must be > 0")
@@ -248,7 +265,7 @@ def _state_fields(p, q, r, elapsed) -> dict:
         raise ValueError(f"p must be square, got shape {p.shape}")
     if q.ndim != 1 or q.shape[0] != p.shape[0]:
         raise ValueError(f"q length {q.shape} does not match p {p.shape}")
-    if not np.isfinite(p).all() or not np.isfinite(q).all():
+    if not _finite(p) or not _finite(q):
         raise NumericsError("non-finite entries in state")
     if r is not None:
         r = float(r)
@@ -293,14 +310,17 @@ class ModelSolution:
 
 
 def _solution_fields(theta, data_fit, reg_value, total_loss) -> dict:
-    # The checks of ModelSolution.
+    # The checks of ModelSolution; each value that is given becomes a float.
     if theta.ndim != 1:
         raise ValueError("theta_star must be 1-D")
-    if not np.isfinite(theta).all():
+    if not _finite(theta):
         raise NumericsError("non-finite minimizer")
-    data_fit, reg_value, total_loss = [
-        None if v is None else float(v) for v in (data_fit, reg_value, total_loss)
-    ]
+    if data_fit is not None:
+        data_fit = float(data_fit)
+    if reg_value is not None:
+        reg_value = float(reg_value)
+    if total_loss is not None:
+        total_loss = float(total_loss)
     if data_fit is not None and reg_value is not None and total_loss is not None:
         total = data_fit + reg_value
         scale = max(abs(total), abs(total_loss), 1e-300)
@@ -325,7 +345,7 @@ def _fitted_solution(theta, hyper: Hyperparams, blocks) -> ModelSolution:
     ``theta`` evaluated on ``blocks``; total_loss is their sum."""
     data_fit = data_fit_value(theta, blocks)
     diff = theta - hyper.theta0
-    reg_value = 0.5 * float(hyper.gamma @ (diff * diff))
+    reg_value = 0.5 * float(hyper.gamma.dot(diff * diff))
     return _new_solution(theta, data_fit, reg_value, data_fit + reg_value)
 
 
@@ -451,7 +471,7 @@ def _block_views(phi, y, lams, bounds) -> list[DataBlock]:
     of the new stacks ``phi`` and ``y``, checked once and frozen in place.  If
     a check fails, the constructor raises the first bad block's error."""
     if not (all(0.0 <= lam < math.inf for lam in lams)
-            and np.isfinite(phi).all() and np.isfinite(y).all()):
+            and _finite(phi) and _finite(y)):
         for start, stop, lam in zip(bounds, bounds[1:], lams):
             DataBlock(phi[start:stop], y[start:stop], lam)
     phi, y = _frozen(phi), _frozen(y)

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Hyperparams, ModelSolution, NumericsError, _fitted_solution, weighted_rows
+from .model import (
+    Hyperparams,
+    ModelSolution,
+    NumericsError,
+    _finite,
+    _fitted_solution,
+    weighted_rows,
+)
 
 __all__ = ["normal_system", "solve_direct", "spd_cholesky"]
 
@@ -30,7 +37,7 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of the normal-equations matrix, L L' = a;
     ``NumericsError`` if ``a`` is not finite or numerically not positive
     definite (NumPy's factorization passes inf and NaN through)."""
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise NumericsError("normal-equations matrix is not finite: the data overflow")
     try:
         return np.linalg.cholesky(a)

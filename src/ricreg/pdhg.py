@@ -41,6 +41,7 @@ from .model import (
     Hyperparams,
     ModelSolution,
     RiccatiState,
+    _finite,
     _frozen,
     _frozen_array,
     _new_solution,
@@ -77,7 +78,7 @@ class ProxSpec:
         if self.kind not in _PROX_KINDS:
             raise ValueError(f"kind must be one of {_PROX_KINDS}, got {self.kind!r}")
         weights = _frozen_array(self.weights)
-        if weights.ndim != 1 or not np.isfinite(weights).all() or (weights <= 0).any():
+        if weights.ndim != 1 or not _finite(weights) or (weights <= 0).any():
             raise ValueError("weights must be a 1-D vector of positive reals")
         object.__setattr__(self, "weights", weights)
 
@@ -114,7 +115,7 @@ class PdhgConfig:
             raise ValueError("tol must be positive")
         if self.x_point is not None:
             x = _frozen_array(self.x_point)
-            if x.ndim != 1 or not np.isfinite(x).all():
+            if x.ndim != 1 or not _finite(x):
                 raise ValueError("x_point must be a finite 1-D vector")
             object.__setattr__(self, "x_point", x)
 

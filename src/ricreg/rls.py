@@ -12,8 +12,9 @@ and r:
 
 A removal is refused (``NumericsError``) exactly when some 1 + a T <= 0,
 i.e. when I - lam phi P phi' is not positive definite: the block was never
-incorporated, or arithmetic has degraded too far.  The kernel raises before
-it writes anything, and the new state checks its own p, q and r, as on the
+incorporated, or arithmetic has degraded too far.  A G that overflows is
+refused as well, for either sign of T.  The kernel raises before it
+writes anything, and the new state checks its own p, q and r, as on the
 RK4 path.  No forgetting factor and no square-root filtering: updates are
 exact but inherit the usual numerical fragility of plain RLS on badly
 conditioned streams.  ``elapsed`` follows the same rule as the RK4 engine.
@@ -37,6 +38,7 @@ from .model import (
     Hyperparams,
     RiccatiState,
     _adopt,
+    _check_evaluation_point,
     _new_state,
     validate_block,
     weighted_rows,
@@ -49,7 +51,7 @@ class RlsState(RiccatiState):
     """The flow state under its former name, kept for perfbench (a shim)."""
 
     def theta_star(self, hyper: Hyperparams) -> np.ndarray:
-        return self.p @ hyper.evaluation_point() + self.q
+        return self.p.dot(hyper.evaluation_point()) + self.q
 
     def to_riccati_state(self, r: float | None = None, elapsed: float = 0.0) -> RiccatiState:
         return RiccatiState(p=self.p, q=self.q, r=r, elapsed=elapsed)
@@ -85,10 +87,12 @@ def rls_fit(hyper: Hyperparams, blocks, rows=None) -> RlsState:
     n x n eigh, and the stream is never folded into a single update, whose
     rounding error grows with the number of rows it sums.  ``rows`` is
     ``weighted_rows(blocks, hyper.n)`` when the caller has stacked them
-    already.
+    already.  The evaluation point gamma * theta0 is checked, as by
+    ``engine.fit``, before the first update.
     """
     blocks = list(blocks)
     phi, y = weighted_rows(blocks, hyper.n) if rows is None else rows
+    _check_evaluation_point(hyper)
     p = np.diag(1.0 / hyper.gamma)
     q = np.zeros(hyper.n)
     r = 0.0

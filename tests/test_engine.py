@@ -233,8 +233,9 @@ class TestFailEarly:
     def test_sweep_with_overflowing_evaluation_point_is_refused(self):
         # gamma * theta0 overflows in its first entry, so every point of the
         # sweep, the starting point too, is non-finite while the state is not.
+        # The state does not depend on theta0, and a fit refuses this bias.
         hyper = Hyperparams(gamma=[1e300, 1.0], theta0=[1e10, 0.0])
-        st = fit(hyper, [DataBlock(phi=[[1.0, 1.0]], y=[1.0])], CFG)
+        st = fit(hyper.with_theta0([0.0, 0.0]), [DataBlock(phi=[[1.0, 1.0]], y=[1.0])], CFG)
         trace = ParetoTrace()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError, match="non-finite trace point"):
@@ -324,6 +325,30 @@ class TestFit:
         st = fit(hyper, prob.blocks, IntegrationConfig(step_h=5e-4))
         err = np.abs(extract_solution(st, hyper).theta_star - oracle.theta_star).sum()
         assert err <= 5e-9
+
+    @pytest.mark.parametrize("method", ["riccati", "rls"])
+    def test_overflowing_evaluation_point_is_refused_before_the_first_block(
+        self, method, monkeypatch
+    ):
+        # gamma * theta0 overflows in its first entry, so every minimizer of
+        # the fit is non-finite: both fits refuse before any kernel runs, and
+        # without NumPy's overflow warning.  Hyperparams itself, on the query
+        # path, accepts such values.
+        hyper = Hyperparams(gamma=np.r_[1e300, np.ones(9)], theta0=np.r_[1e10, np.zeros(9)])
+        blocks = gen_sin10x(200, seed=0, noise_scale=1.0).blocks
+
+        def refuse(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(_kernels, "rk4_dense", refuse)
+        monkeypatch.setattr(_kernels, "exact_dense", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite minimizer"):
+                if method == "riccati":
+                    fit(hyper, blocks, IntegrationConfig(step_h=1e-4))
+                else:
+                    rls_fit(hyper, blocks)
 
     def test_block_order_commutes_within_tolerance(self):
         rng = np.random.default_rng(5)
@@ -899,6 +924,37 @@ class TestSolutionReference:
             assert self._bytes(loss_from_state(state, h)) == self._bytes(loss)
             for sol in solutions[:2]:
                 assert self._bytes(sol.total_loss) == self._bytes(loss)
+
+
+class TestQueryAtEachSize:
+    """extract_solution and shift_bias, which compute with BLAS ``dot``, give
+    the bits of the ``@`` forms theta = P (gamma * theta0) + q and
+    loss = -(x'P x / 2 + q'x + r) + theta0'x / 2, at the benchmark's sizes."""
+
+    @pytest.mark.parametrize("tracked", [True, False])
+    @pytest.mark.parametrize("n", [1, 10, 21, 100])
+    def test_bit_for_bit(self, n, tracked):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        state = RiccatiState(p=a @ a.T / n + np.eye(n), q=rng.normal(size=n),
+                             r=0.3 if tracked else None, elapsed=1.0)
+        hyper = Hyperparams(gamma=rng.uniform(0.5, 2.0, n), theta0=rng.normal(size=n))
+        blocks = [DataBlock(phi=rng.normal(size=(2, n)), y=rng.normal(size=2))]
+        for theta0 in [hyper.theta0, *rng.normal(size=(20, n))]:
+            h = hyper.with_theta0(theta0)
+            x = h.gamma * h.theta0
+            theta = state.p @ x + state.q
+            for sol in (extract_solution(state, h), shift_bias(state, hyper, theta0)):
+                assert np.array_equal(sol.theta_star, theta)
+                if tracked:
+                    s_value = 0.5 * float(x @ (state.p @ x)) + float(state.q @ x) + state.r
+                    assert sol.total_loss == -s_value + 0.5 * float(h.theta0 @ x)
+                else:
+                    assert sol.total_loss is None
+            diff = theta - theta0
+            sol = extract_solution(state, h, blocks)
+            assert np.array_equal(sol.theta_star, theta)
+            assert sol.reg_value == 0.5 * float(h.gamma @ (diff * diff))
 
 
 class TestValuesOwnTheirArrays:

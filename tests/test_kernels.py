@@ -249,7 +249,15 @@ def _exact_run(duration):
     return lambda p, q: _kernels.exact_dense(p, q, 0.5, phi, y, duration)
 
 
+def _overflow_run(duration):
+    # G = phi P phi' overflows to +inf at P = I: 1 + a T = inf would pass the
+    # closed form's test and give c = 0, an update that drops the block.
+    phi = np.array([[1e200, 1.0, 0.0, 0.0, 0.0]])
+    return lambda p, q: _kernels.exact_dense(p, q, 0.5, phi, np.ones(1), duration)
+
+
 _FORWARD_STIFF = "forward run is too stiff for RK4"
+_NOT_FINITE = "phi P phi' is not finite: no step size can follow this run"
 
 
 class TestFailureContract:
@@ -277,6 +285,8 @@ class TestFailureContract:
         # from the indefinite P = -I.
         pytest.param(-1.0, _exact_run(2.0), "ill-conditioned update solve", id="exact-add"),
         pytest.param(1.0, _exact_run(-2.0), "not removable", id="exact-remove"),
+        pytest.param(1.0, _overflow_run(1.0), _NOT_FINITE, id="exact-overflow-add"),
+        pytest.param(1.0, _overflow_run(-1.0), _NOT_FINITE, id="exact-overflow-remove"),
     ])
     def test_refuses_before_writing(self, sign, run, match):
         p0 = sign * np.eye(5)
@@ -314,6 +324,24 @@ class TestFailureContract:
 def _one_step(x):
     # s after one RK4 step of ds/dt = -s^2 of size x from s = 1.
     return 1.0 - _kernels._rk4_decay(1.0, x, 1, x)
+
+
+class TestUpdate:
+    @pytest.mark.parametrize("n, m", [(1, 1), (10, 1), (10, 4), (21, 3), (100, 4)])
+    def test_symmetrizes_as_the_half_sum(self, n, m):
+        # The in-place p += p.T; p *= 0.5 gives the bits of 0.5 * (p + p.T),
+        # and an exactly symmetric p.
+        rng = np.random.default_rng(n + m)
+        p0, q0 = _spd(rng, n), rng.normal(size=n)
+        phi, y = rng.normal(size=(m, n)) / n, rng.normal(size=m)
+        a, w, bh, _ = _kernels._factors(p0, q0, phi, y)
+        c = [0.01 * (i + 1) for i in range(len(a))]
+        p, q = p0.copy(), q0.copy()
+        _kernels._update(p, q, 0.0, w, bh, c, 0.0)
+        ref = p0 - (w * np.array(c)).dot(w.T)
+        ref = 0.5 * (ref + ref.T)
+        assert p.tobytes() == ref.tobytes()
+        assert np.array_equal(p, p.T)
 
 
 class TestPreCheck:

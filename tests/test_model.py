@@ -1,8 +1,12 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from ricreg.model import (
     Checkpoint,
@@ -20,6 +24,7 @@ from ricreg.model import (
     validate_block,
     write_blocks,
     write_checkpoint,
+    _finite,
 )
 
 
@@ -162,7 +167,68 @@ class TestRiccatiState:
         assert 0 < st.symmetry_defect() < 1e-12
 
 
+# Values at the edges of float64: NaN, the infinities, the largest finite
+# magnitudes and the subnormals.
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1e308, 1e308,
+                5e-324, -5e-324, 2.2250738585072e-308, 0.0, -0.0]
+
+
+@hst.composite
+def _float_views(draw):
+    """A float64 array of 0 to 3 dims (sides 0 to 5), or a non-contiguous view
+    of one: reversed, transposed or every other entry along an axis."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    elements = hst.one_of(hst.floats(width=64), hst.sampled_from(_EDGE_FLOATS))
+    arr = draw(hnp.arrays(np.float64, shape, elements=elements))
+    if arr.ndim == 0:
+        return arr
+    axis = draw(hst.integers(0, arr.ndim - 1))
+    view = draw(hst.sampled_from(["whole", "reversed", "transposed", "strided"]))
+    index = [slice(None)] * arr.ndim
+    if view == "reversed":
+        index[axis] = slice(None, None, -1)
+    elif view == "strided":
+        index[axis] = slice(None, None, 2)
+    return arr.T if view == "transposed" else arr[tuple(index)]
+
+
+class TestFinite:
+    """``_finite`` is ``np.isfinite(a).all()``, counted with ``np.count_nonzero``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_float_views())
+    def test_matches_isfinite_all(self, arr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _finite(arr) == bool(np.isfinite(arr).all())
+
+    @pytest.mark.parametrize("arr, expected", [
+        (np.array([1.0, np.nan]), False),
+        (np.array([[1.0], [np.inf]]), False),
+        (np.full((2, 2, 2), -np.inf), False),
+        (np.array([1e308, -1e308, 1.7976931348623157e308]), True),
+        (np.array([5e-324, -5e-324]), True),
+        (np.empty(0), True),
+        (np.empty((3, 0, 2)), True),
+        (np.array(np.nan), False),
+        (np.array(2.0), True),
+        (np.arange(12.0).reshape(3, 4).T[::2], True),
+        (np.array([[0.0, np.nan], [1.0, 2.0]])[:, ::2], True),
+        (np.array([[0.0, np.nan], [1.0, 2.0]])[::-1, 1], False),
+    ], ids=["nan", "inf", "minus-inf", "huge", "subnormal", "empty", "empty-3d",
+            "nan-0d", "0d", "strided", "strided-past-nan", "reversed-column"])
+    def test_edge_cases(self, arr, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _finite(arr) == expected
+
+
 class TestModelSolution:
+    def test_given_values_become_floats(self):
+        sol = ModelSolution(theta_star=[1.0], data_fit=np.float32(0.5), total_loss=2)
+        assert type(sol.data_fit) is float and type(sol.total_loss) is float
+        assert sol.reg_value is None
+
     def test_consistent_split_accepted(self):
         ModelSolution(theta_star=[1.0], data_fit=1.0, reg_value=0.5, total_loss=1.5)
 

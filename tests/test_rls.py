@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,27 @@ class TestRlsAdd:
         st = rls_fit(hyper, blocks)
         oracle = solve_direct(hyper, blocks)
         assert relative_l1(st.theta_star(hyper), oracle.theta_star) <= 1e-10
+
+
+class TestOverflowingBlock:
+    """A block whose G = phi P phi' overflows is refused, as on the RK4 path,
+    before anything is written: the closed form with a = inf would give
+    c = 0 and return P unchanged."""
+
+    def test_single_row_add_is_refused_without_warnings(self):
+        st = RlsState(p=np.eye(2), q=np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="not finite: no step size"):
+                rls_add(st, DataBlock(phi=[[1e200, 1.0]], y=[1.0]))
+
+    @pytest.mark.parametrize("op", [rls_add, rls_remove])
+    def test_multi_row_block_is_refused(self, op):
+        st = RlsState(p=np.eye(2), q=np.zeros(2))
+        blk = DataBlock(phi=[[1e200, 1.0], [1.0, 2e200]], y=[1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="not finite: no step size"):
+                op(st, blk)
 
 
 class TestRlsRemove:
