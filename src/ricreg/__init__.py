@@ -15,10 +15,8 @@ from .engine import (
     add_block,
     extract_solution,
     fit,
-    integrate_block,
     loss_from_state,
     remove_block,
-    rk4_step,
     shift_bias,
     tune_gamma,
     tune_lambda,
@@ -60,7 +58,6 @@ __all__ = [
     "add_block",
     "extract_solution",
     "fit",
-    "integrate_block",
     "loss_from_state",
     "new_state",
     "pdhg_solve",
@@ -68,7 +65,6 @@ __all__ = [
     "read_blocks",
     "read_checkpoint",
     "remove_block",
-    "rk4_step",
     "rls_add",
     "rls_fit",
     "rls_remove",

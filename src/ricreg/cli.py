@@ -29,7 +29,9 @@ from .model import (
     Hyperparams,
     NumericsError,
     RiccatiState,
+    _check_evaluation_point,
     _finite,
+    data_fit_value,
     read_blocks,
     read_checkpoint,
     weighted_rows,
@@ -110,17 +112,16 @@ def _exact_state(hyper: Hyperparams, blocks, stream) -> RiccatiState:
     """Closed-form flow state (P, q, r) from the normal equations; ``stream``
     is ``blocks`` as one unit-weight block (see ``cmd_fit``).  P = L^-T L^-1
     from the one Cholesky factor L of the normal matrix, which raises
-    ``NumericsError`` when that matrix is numerically not SPD."""
+    ``NumericsError`` when that matrix is numerically not SPD.  r = S(0) is minus
+    the minimal loss at theta0 = 0, at its minimizer q: two terms of one sign."""
+    _check_evaluation_point(hyper)
     a, rhs = normal_system(hyper, stream)
     lower_inv = np.linalg.solve(spd_cholesky(a), np.eye(hyper.n))
     p = lower_inv.T @ lower_inv
     p = 0.5 * (p + p.T)
     q = p @ (rhs - hyper.evaluation_point())
-    state = RiccatiState(p=p, q=q, r=0.0, elapsed=float(sum(b.lam for b in blocks)))
-    total = engine.extract_solution(state, hyper, stream).total_loss
-    # At r = 0 the loss identity of ``loss_from_state`` overshoots the total by r.
-    r = engine.loss_from_state(state, hyper) - total
-    return RiccatiState(p=p, q=q, r=r, elapsed=state.elapsed)
+    r = -(data_fit_value(q, stream) + 0.5 * float(hyper.gamma.dot(q * q)))
+    return RiccatiState(p=p, q=q, r=r, elapsed=float(sum(b.lam for b in blocks)))
 
 
 # -- gen ----------------------------------------------------------------------

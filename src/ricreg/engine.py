@@ -46,8 +46,6 @@ __all__ = [
     "IntegrationConfig",
     "TraceRecord",
     "ParetoTrace",
-    "rk4_step",
-    "integrate_block",
     "fit",
     "extract_solution",
     "loss_from_state",
@@ -58,7 +56,6 @@ __all__ = [
     "shift_bias",
 ]
 
-_SIGNS = {"forward": 1.0, "backward": -1.0}
 _TRACE_CHUNK = 256  # steps of a traced phase evaluated together
 
 
@@ -133,13 +130,6 @@ class ParetoTrace:
                 writer.writerows(np.column_stack((labels, data_fit, reg_norm, theta)).tolist())
 
 
-def _sign_of(direction: str) -> float:
-    try:
-        return _SIGNS[direction]
-    except KeyError:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-
 def _new_elapsed(elapsed: float, signed_duration: float) -> float:
     out = elapsed + signed_duration
     if out < 0.0:
@@ -171,43 +161,18 @@ def _advance(state: RiccatiState, signed_duration: float, run, cls=RiccatiState)
     return _new_state(cls, p, q, r, _new_elapsed(state.elapsed, signed_duration))
 
 
-def _run_dense(state: RiccatiState, block: DataBlock, signed_duration, cfg) -> RiccatiState:
+def _integrate(state: RiccatiState, block: DataBlock, signed_duration, cfg) -> RiccatiState:
+    """``block``'s flow over ``signed_duration`` (backward in time if negative),
+    for a block the caller has checked against the state; the state itself
+    for a zero duration."""
+    if signed_duration == 0.0:
+        return state
     h, nsteps, last = _split_steps(signed_duration, cfg.step_h)
 
     def run(p, q, r):
         return _kernels.rk4_dense(p, q, r, block.phi, block.y, h, nsteps, last).r
 
     return _advance(state, signed_duration, run)
-
-
-def _integrate(state: RiccatiState, block: DataBlock, signed_duration, cfg) -> RiccatiState:
-    """``block``'s flow over ``signed_duration`` (backward in time if negative),
-    after checking the block against the state; the state itself for a zero
-    duration."""
-    validate_block(block, state.n)
-    if signed_duration == 0.0:
-        return state
-    return _run_dense(state, block, signed_duration, cfg)
-
-
-def rk4_step(
-    state: RiccatiState, block: DataBlock, h: float, direction: str = "forward"
-) -> RiccatiState:
-    """One classical RK4 step of size +h (forward) or -h (backward)."""
-    return integrate_block(state, block, h, IntegrationConfig(step_h=h), direction)
-
-
-def integrate_block(
-    state: RiccatiState,
-    block: DataBlock,
-    duration: float,
-    cfg: IntegrationConfig,
-    direction: str = "forward",
-) -> RiccatiState:
-    """Integrate one block's piece of the flow for ``duration`` time units."""
-    if duration < 0.0 or not math.isfinite(duration):
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    return _integrate(state, block, _sign_of(direction) * duration, cfg)
 
 
 def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
@@ -220,8 +185,7 @@ def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
     _check_evaluation_point(hyper)
     state = new_state(hyper)
     for block in blocks:
-        if block.lam != 0.0:
-            state = _run_dense(state, block, block.lam, cfg)
+        state = _integrate(state, block, block.lam, cfg)
     return state
 
 
@@ -287,9 +251,12 @@ def tune_lambda(
     new_lambda: float,
     cfg: IntegrationConfig,
 ) -> RiccatiState:
-    """Change one block's weight by integrating its piece for the difference."""
+    """Change one block's weight by integrating its piece for the difference:
+    the general signed run of one block, forward for ``new_lambda`` from
+    ``old_lambda = 0`` and backward for ``old_lambda`` to ``new_lambda = 0``."""
     if not (0.0 <= old_lambda < math.inf and 0.0 <= new_lambda < math.inf):
         raise ValueError(f"weights must be finite and >= 0, got {old_lambda} and {new_lambda}")
+    validate_block(block, state.n)
     return _integrate(state, block, new_lambda - old_lambda, cfg)
 
 

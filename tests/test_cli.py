@@ -210,6 +210,17 @@ class TestFit:
         assert capsys.readouterr().err.startswith("numerical failure: normal-equations")
         assert not out.exists()
 
+    def test_lsq_with_overflowing_evaluation_point_is_numerical_failure(
+            self, sin_data, tmp_path, capsys):
+        # The message of riccati and rls: gamma * theta0 is refused before q is built.
+        out = tmp_path / "ck.json"
+        code = main(["fit", str(sin_data[0]), "--gamma", ",".join(["1e300"] + ["1"] * 9),
+                     "--theta0", "1e10", "--method", "lsq", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite minimizer: gamma * theta0 overflows\n")
+        assert not out.exists()
+
     def test_forward_blow_up_names_a_step_that_passes(self, tmp_path, capsys):
         # The first block of this stream is too stiff for the default step.
         data, out = tmp_path / "d.jsonl", tmp_path / "ck.json"

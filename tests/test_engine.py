@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from ricreg import (
     DataBlock,
@@ -14,11 +17,9 @@ from ricreg import (
     add_block,
     extract_solution,
     fit,
-    integrate_block,
     loss_from_state,
     new_state,
     remove_block,
-    rk4_step,
     rls_add,
     rls_fit,
     rls_remove,
@@ -57,6 +58,14 @@ def rand_problem(rng, n=5, n_blocks=6, m=1, lam=1.0):
 CFG = IntegrationConfig(step_h=1e-3)
 
 
+def run_for(state, block, duration, cfg, backward=False):
+    """``block``'s flow for ``duration`` from ``state``, backward in time if
+    ``backward``: ``tune_lambda`` between the weights 0 and ``duration``."""
+    if backward:
+        return tune_lambda(state, block, duration, 0.0, cfg)
+    return tune_lambda(state, block, 0.0, duration, cfg)
+
+
 def untracked(state):
     """``state`` without the loss accumulator r."""
     return RiccatiState(p=state.p, q=state.q, r=None, elapsed=state.elapsed)
@@ -67,7 +76,7 @@ class TestRk4Step:
         hyper = Hyperparams(gamma=[2.0, 0.5], theta0=[1.0, -1.0])
         st = new_state(hyper)
         blk = DataBlock(phi=[[0.0, 0.0]], y=[3.0])
-        out = rk4_step(st, blk, 0.25)
+        out = run_for(st, blk, 0.25, IntegrationConfig(step_h=0.25))
         np.testing.assert_array_equal(out.p, st.p)
         np.testing.assert_array_equal(out.q, st.q)
         assert out.elapsed == 0.25
@@ -75,13 +84,14 @@ class TestRk4Step:
     def test_zero_block_is_full_noop_besides_elapsed(self):
         hyper = Hyperparams(gamma=[2.0, 0.5], theta0=[1.0, -1.0])
         st = new_state(hyper)
-        out = rk4_step(st, DataBlock(phi=[[0.0, 0.0]], y=[0.0]), 0.25)
+        out = run_for(st, DataBlock(phi=[[0.0, 0.0]], y=[0.0]), 0.25,
+                      IntegrationConfig(step_h=0.25))
         assert out.r == st.r
 
     def test_single_step_matches_analytic_to_h5(self):
         # p' = -p^2 from p(0)=1 has p(t) = 1/(1+t); q(t) = t/(1+t).
         st = new_state(Hyperparams(gamma=[1.0], theta0=[0.0]))
-        out = rk4_step(st, DataBlock(phi=[[1.0]], y=[1.0]), 0.1)
+        out = run_for(st, DataBlock(phi=[[1.0]], y=[1.0]), 0.1, IntegrationConfig(step_h=0.1))
         assert abs(out.p[0, 0] - 1.0 / 1.1) < 1e-6
         assert abs(out.q[0] - 0.1 / 1.1) < 1e-6
 
@@ -89,18 +99,14 @@ class TestRk4Step:
         rng = np.random.default_rng(5)
         hyper, blocks = rand_problem(rng, m=2)
         st = new_state(hyper)
-        fwd = rk4_step(st, blocks[0], 1e-3)
-        back = rk4_step(fwd, blocks[0], 1e-3, "backward")
+        fwd = run_for(st, blocks[0], 1e-3, CFG)
+        back = run_for(fwd, blocks[0], 1e-3, CFG, backward=True)
         assert np.max(np.abs(back.p - st.p)) < 1e-12
         assert np.max(np.abs(back.q - st.q)) < 1e-12
 
-    def test_rejects_bad_direction_and_step(self):
-        st = new_state(Hyperparams(gamma=[1.0], theta0=[0.0]))
-        blk = DataBlock(phi=[[1.0]], y=[1.0])
-        with pytest.raises(ValueError, match="direction"):
-            rk4_step(st, blk, 0.1, "sideways")
+    def test_rejects_negative_step(self):
         with pytest.raises(ValueError, match="h must be"):
-            rk4_step(st, blk, -0.1)
+            IntegrationConfig(step_h=-0.1)
 
     def test_unstable_backward_run_reports_numerical_failure(self):
         # Removing a block that was never added grows p without bound; with a
@@ -108,7 +114,7 @@ class TestRk4Step:
         st = new_state(Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0]))
         blk = DataBlock(phi=[[50.0, 10.0]], y=[1.0], lam=5.0)
         with pytest.raises(NumericsError, match="smaller step"):
-            integrate_block(st, blk, 5.0, IntegrationConfig(step_h=0.05), "backward")
+            run_for(st, blk, 5.0, IntegrationConfig(step_h=0.05), backward=True)
 
     def test_blow_up_is_reported_without_runtime_warnings(self):
         # A zero feature leaves u = p phi with a zero entry; the overflowed
@@ -117,9 +123,9 @@ class TestRk4Step:
         blk = DataBlock(phi=[[50.0, 0.0]], y=[1.0], lam=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for h, direction in ((0.05, "backward"), (0.5, "forward")):
+            for h, backward in ((0.05, True), (0.5, False)):
                 with pytest.raises(NumericsError, match="smaller step"):
-                    integrate_block(st, blk, 5.0, IntegrationConfig(step_h=h), direction)
+                    run_for(st, blk, 5.0, IntegrationConfig(step_h=h), backward)
 
 
     def test_overflowing_block_is_refused_without_runtime_warnings(self):
@@ -148,7 +154,7 @@ class TestRk4Step:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericsError, match="smaller step"):
-                integrate_block(st, blk, 5.0, IntegrationConfig(step_h=0.05), "backward")
+                run_for(st, blk, 5.0, IntegrationConfig(step_h=0.05), backward=True)
 
 
 class TestIntegrationConfig:
@@ -253,8 +259,8 @@ class TestIntegrateBlock:
         hyper, blocks = rand_problem(rng, n=5, n_blocks=1, m=m)
         blk = blocks[0]
         st = add_block(new_state(hyper), blk, CFG)
-        for duration, direction, sign in ((0.7237, "forward", 1.0), (0.3141, "backward", -1.0)):
-            got = integrate_block(st, blk, duration, CFG, direction)
+        for duration, backward, sign in ((0.7237, False, 1.0), (0.3141, True, -1.0)):
+            got = run_for(st, blk, duration, CFG, backward)
             p, q = st.p.copy(), st.q.copy()
             r = _kernels.rk4_dense(p, q, st.r, blk.phi, blk.y, sign * 1e-3,
                                    int(duration / 1e-3)).r
@@ -268,13 +274,11 @@ class TestIntegrateBlock:
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
         st = new_state(hyper)
         blk = DataBlock(phi=[[1.0, 1.0]], y=[1.0])
-        assert integrate_block(st, blk, 0.0, CFG) is st
+        assert run_for(st, blk, 0.0, CFG) is st
 
     def test_unit_time_matches_closed_form(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
-        st = integrate_block(
-            new_state(hyper), DataBlock(phi=[[1.0, 1.0]], y=[1.0]), 1.0, CFG
-        )
+        st = run_for(new_state(hyper), DataBlock(phi=[[1.0, 1.0]], y=[1.0]), 1.0, CFG)
         p_exact = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         q_exact = np.array([1.0, 1.0]) / 3.0
         assert np.max(np.abs(st.p - p_exact)) < 1e-9
@@ -286,7 +290,7 @@ class TestIntegrateBlock:
         hyper, _ = rand_problem(rng)
         blk = DataBlock(phi=rng.normal(size=(1, 5)), y=rng.normal(size=1))
         duration = 0.7237
-        st = integrate_block(new_state(hyper), blk, duration, CFG)
+        st = run_for(new_state(hyper), blk, duration, CFG)
         assert st.elapsed == duration
         p_exact, _ = closed_form(
             hyper, [DataBlock(phi=blk.phi, y=blk.y, lam=duration)]
@@ -296,7 +300,7 @@ class TestIntegrateBlock:
     def test_tracked_loss_matches_direct_evaluation(self):
         hyper = Hyperparams(gamma=[1.0, 1.0], theta0=[0.0, 0.0])
         blk = DataBlock(phi=[[1.0, 1.0]], y=[1.0])
-        st = integrate_block(new_state(hyper), blk, 1.0, CFG)
+        st = run_for(new_state(hyper), blk, 1.0, CFG)
         direct = extract_solution(st, hyper, [blk]).total_loss
         recovered = loss_from_state(st, hyper)
         assert abs(direct - recovered) <= 1e-8 * abs(direct)
@@ -521,8 +525,6 @@ _BLOCK_OPS = {
     "remove_block": lambda st, blk: remove_block(st, blk, CFG),
     "tune_lambda-equal": lambda st, blk: tune_lambda(st, blk, 0.5, 0.5, CFG),
     "tune_lambda-different": lambda st, blk: tune_lambda(st, blk, 1.0, 0.5, CFG),
-    "integrate_block-zero": lambda st, blk: integrate_block(st, blk, 0.0, CFG),
-    "rk4_step": lambda st, blk: rk4_step(st, blk, 1e-3),
 }
 
 
@@ -1076,3 +1078,37 @@ class TestFlowInvariants:
         direct = extract_solution(st, hyper, blocks).total_loss
         recovered = loss_from_state(st, hyper)
         assert abs(direct - recovered) <= 1e-8 * abs(direct)
+
+
+def _entries(lo, hi):
+    return hst.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@hst.composite
+def _round_trip_cases(draw):
+    # A start state p = diag(1/gamma) with a drawn q and r, and one block.
+    n = draw(hst.integers(1, 6))
+    m = draw(hst.integers(1, 3))
+    gamma = draw(hnp.arrays(np.float64, n, elements=_entries(0.5, 4.0)))
+    q = draw(hnp.arrays(np.float64, n, elements=_entries(-2.0, 2.0)))
+    r = draw(_entries(-2.0, 2.0))
+    phi = draw(hnp.arrays(np.float64, (m, n), elements=_entries(-2.0, 2.0)))
+    y = draw(hnp.arrays(np.float64, m, elements=_entries(-2.0, 2.0)))
+    lam = draw(_entries(0.05, 1.0))
+    start = RiccatiState(p=np.diag(1.0 / gamma), q=q, r=r, elapsed=lam)
+    return start, DataBlock(phi=phi, y=y, lam=lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_round_trip_cases())
+def test_add_then_remove_returns_the_state(case):
+    # RK4 is not exactly time-reversible: the round trip leaves an error of
+    # the order (h a0)^4, a0 the largest eigenvalue of phi P0 phi', above a
+    # rounding floor.
+    start, blk = case
+    a0 = np.linalg.eigvalsh(blk.phi @ start.p @ blk.phi.T)[-1]
+    tol = (CFG.step_h * a0) ** 4 + 1e-10
+    back = remove_block(add_block(start, blk, CFG), blk, CFG)
+    assert np.max(np.abs(back.p - start.p)) <= tol * max(1.0, np.max(np.abs(start.p)))
+    assert np.max(np.abs(back.q - start.q)) <= tol * max(1.0, np.max(np.abs(start.q)))
+    assert abs(back.r - start.r) <= tol * max(1.0, abs(start.r))
