@@ -8,8 +8,11 @@ the flow of a data block over a signed duration T is
 for W = U V and bh = V^T (phi q0 - y), where c_i is the integral of s^2 for
 ds/dt = -a_i s^2, s(0) = 1.  Each kernel is one m x m eigh (``_factors``),
 the m integrals, and one rank-m update in place (``_update``).  The RK4
-kernels integrate with ``_rk4_decay`` (m scalar loops, equal to the per-step
-references in ``tests/test_kernels.py`` to rounding); ``exact_dense`` takes
+kernels integrate with ``_rk4_decay``, one scalar RK4 recurrence per
+eigenvalue, equal to the per-step references in ``tests/test_kernels.py`` to
+rounding: a run of fewer than ``_JUMP_MIN`` steps is stepped, and a longer
+one costs O(1) whatever its step count, since its middle is crossed in closed
+form through the Abel coordinate of the RK4 map; ``exact_dense`` takes
 the closed form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and
 refuses a run with a non-finite a or some 1 + a T <= 0.  The diagonal flow
 with weights d >= 0 is the data flow of phi = diag(sqrt(d)), restricted to the
@@ -49,40 +52,125 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import NumericsError
+from .model import NumericsError, _finite
 
 # There is no JIT backend; perfbench/run.py reports this in its provenance.
 _USE_NUMBA = False
 
 
-def _rk4_decay(a, h, nsteps, last, trail=None):
+# Each RK4 step of ds/dt = -a s^2 maps rho = step a s by one polynomial,
+#     F(rho) = rho - rho^2 (1 + 2 m2^2 + 2 m3^2 + m4^2) / 6,
+# with the stage factors of ``_steps`` (g = rho / 2), whatever a and h are;
+# F(rho) = rho / (1 + rho) + O(rho^6), the exact flow.  A run of k steps of
+# size h from s is therefore crossed in closed form through the Abel
+# coordinate of F, alpha(F(rho)) = alpha(rho) + 1 (Milnor, Dynamics in One
+# Complex Variable, section 10): alpha(rho) = 1 / rho + A(rho) with
+# A(rho) = sum_{j >= 3} b_j rho^j, whose b_j are rational (``_ABEL``; the
+# series is asymptotic, and for |rho| <= 0.1 its terms still shrink at
+# j = 26).  Then 1 / rho_k = 1 / e + A(rho) - A(rho_k) with
+# e = rho / (1 + k rho), and c grows by (rho - rho_k) / (h a^2), written
+# without a division by a.
+_RHO_STAR = 0.1  # the largest |rho| a jump starts or ends at
+_JUMP_MIN = 64  # a run of fewer full steps is stepped whole
+# b_3 .. b_17 (b_4 = 0), each the float nearest the exact fraction.
+_ABEL = (-1 / 72, 0.0, 13 / 576, 17 / 576, 25 / 1344, 17 / 4608, -121 / 31104,
+         -89 / 46080, 19931 / 3649536, 431 / 82944, -983317 / 60383232,
+         -1034849 / 46448640, 8875343 / 119439360, 298825 / 2359296,
+         -10078458301 / 22741254144)
+# The degree of A for a jump whose largest |rho| is at most the reach: the
+# terms left out of A then sum to below 2^-60 / |rho|, so each of rho_k and
+# the increment of c is within a hundredth of an ulp of the full series.
+# Beyond the last reach (never past rho* + 4e-6), the full degree 17.
+_ABEL_DEGREES = ((1.8e-3, 3), (9e-3, 6), (0.027, 8), (0.048, 10), (0.068, 12),
+                 (0.086, 14))
+
+
+def _steps(a, s, step, count, c, trail=None, at=0):
+    # ``count`` classical RK4 steps of size ``step`` on ds/dt = -a s^2 from s,
+    # written through the stage factors m_j (which depend on g = step a s / 2
+    # alone).  Returns s and c plus the steps' integral of s^2,
+    # (step / 6) sum_k (m1^2 + 2 m2^2 + 2 m3^2 + m4^2) s_k^2.  ``trail``, if
+    # given, receives at at + k the running c after step k + 1.
+    half_ha = 0.5 * step * a
+    ha6 = step * a / 6.0
+    sixth = step / 6.0
+    acc = 0.0
+    for k in range(at, at + count):
+        g = half_ha * s
+        m2 = 1.0 - g
+        m2sq = m2 * m2
+        m3 = 1.0 - g * m2sq
+        m3sq = m3 * m3
+        m4 = 1.0 - (g + g) * m3sq
+        w = (1.0 + 2.0 * (m2sq + m3sq) + m4 * m4) * (s * s)
+        acc += w
+        s -= ha6 * w
+        if trail is not None:
+            trail[k] = c + acc * sixth
+    return s, c + acc * sixth
+
+
+def _abel(x, coefs):
+    # A(x) by Horner over ``coefs``, b_d first and b_3 last.
+    p = coefs[0]
+    for b in coefs[1:]:
+        p = p * x + b
+    return p * x * x * x
+
+
+def _jump(rho, s, k, h, coefs):
+    # The increment of c over k steps of size h from s, with rho = h a s, and
+    # s after them.  Two fixed-point passes find rho_k = e / (1 + eps); every
+    # operation is the same on floats and on NumPy arrays, so both give the
+    # same bits.
+    den = 1.0 + k * rho
+    e = rho / den
+    a0 = _abel(rho, coefs)
+    r = e
+    for _ in range(2):
+        d = a0 - _abel(r, coefs)
+        eps = e * d
+        r = e / (1.0 + eps)
+    ss = s * s
+    dc = ss * (k * h) / den + h * ss * d / (den * den * (1.0 + eps))
+    return dc, s / (den * (1.0 + eps))
+
+
+def _rk4_decay(a, h, nsteps, last, trail=None, jumps=None):
     # Classical RK4 on ds/dt = -a s^2, s(0) = 1: nsteps - 1 steps of size h,
-    # then one of size last, written through the stage factors m_j (which
-    # depend on g = step a s / 2 alone).  Returns c = sum_k (step_k / 6)
-    # (m1^2 + 2 m2^2 + 2 m3^2 + m4^2) s_k^2, the RK4 integral of s^2 with
-    # s = 1 - c a, finite for every run that ``_check_run`` passes.  ``trail``
-    # (a float64 memoryview of length nsteps - 1), if given, receives at k the
-    # running sum after step k + 1 of size h, in units of h/6.
-    s = 1.0
-    c = 0.0
-    for step, count, record in ((h, nsteps - 1, trail), (last, 1, None)):
-        half_ha = 0.5 * step * a
-        ha6 = step * a / 6.0
-        acc = 0.0
-        for k in range(count):
-            g = half_ha * s
-            m2 = 1.0 - g
-            m2sq = m2 * m2
-            m3 = 1.0 - g * m2sq
-            m3sq = m3 * m3
-            m4 = 1.0 - (g + g) * m3sq
-            w = (1.0 + 2.0 * (m2sq + m3sq) + m4 * m4) * (s * s)
-            acc += w
-            s -= ha6 * w
-            if record is not None:
-                record[k] = acc
-        c += acc * (step / 6.0)
-    return c
+    # then one of size last.  Returns c, the RK4 integral of s^2 with
+    # s = 1 - c a, finite for every run that ``_check_run`` passes.  A run of
+    # fewer than ``_JUMP_MIN`` full steps is stepped whole.  A longer one
+    # steps while rho > rho* (the stiff head of a decaying run, at most about
+    # 1 / rho* steps), jumps the middle, and steps the end of a growing run
+    # where |rho| > rho* (about 1 / rho* steps before the limit of
+    # ``_check_run``) and the last step.  ``trail`` (a float64 memoryview of
+    # length nsteps - 1), if given, receives at k the running c after step
+    # k + 1 of size h, for every step that is stepped; ``jumps`` then gets
+    # (k0, count, rho, s, c0, coefs) of the jump after step k0, or None, for
+    # ``_fill_jumps``.
+    n = nsteps - 1
+    s, c, k = 1.0, 0.0, 0
+    jump = None
+    if n >= _JUMP_MIN:
+        rho = h * a
+        head = math.ceil(1.0 / _RHO_STAR - 1.0 / rho) if rho > _RHO_STAR else 0
+        s, c = _steps(a, s, h, head, c, trail)
+        rho = h * a * s
+        count = n - head
+        if -rho * count > 1.0 + rho / _RHO_STAR:  # |e| would pass rho*
+            count = max(0, math.floor((1.0 + rho / _RHO_STAR) / -rho))
+        x = max(abs(rho), abs(rho / (1.0 + count * rho)))
+        degree = next((d for reach, d in _ABEL_DEGREES if x <= reach), len(_ABEL) + 2)
+        coefs = _ABEL[degree - 3::-1]
+        jump = (head, count, rho, s, c, coefs)
+        dc, s = _jump(rho, s, count, h, coefs)
+        c += dc
+        k = head + count
+    if jumps is not None:
+        jumps.append(jump)
+    s, c = _steps(a, s, h, n - k, c, trail, k)
+    return _steps(a, s, last, 1, c)[1]
 
 
 # One RK4 step of ds/dt = -a s^2 from s = 1 ends in (0, 1) for step a below
@@ -90,10 +178,13 @@ def _rk4_decay(a, h, nsteps, last, trail=None):
 _DECAY_LIMIT = 1.739456880737028
 
 
+_NOT_FINITE = "phi P phi' is not finite: no step size can follow this run"
+
+
 def _check_finite(a):
     # A G that overflows: neither RK4 nor the closed form can follow its run.
     if not all(map(math.isfinite, a)):
-        raise NumericsError("phi P phi' is not finite: no step size can follow this run")
+        raise NumericsError(_NOT_FINITE)
 
 
 def _check_run(a, h, nsteps, last):
@@ -134,12 +225,26 @@ def _check_run(a, h, nsteps, last):
 class Run(NamedTuple):
     """What one run of a kernel returns: the updated r, the factors W and bh
     of its row-space update, and, for ``rk4_diag(..., trail=True)``, the
-    running integrals c after each step of size h, one row per step."""
+    running integrals c after each step of size h, one row per step.  The
+    stepped entries of a trail come from the same recurrence as the final c,
+    and the jumped ones from one array expression over the eigenvalues and a
+    chunk of steps; a traced run ends in the bits of an untraced one."""
 
     r: float
     w: np.ndarray
     bh: np.ndarray
     running: np.ndarray | None = None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _products(p, phi):
+    # u = P phi^T and, for a block of more than one row, G = phi u, without
+    # NumPy's warnings when they overflow: a G that overflows, as it does
+    # whenever u does, gives a non-finite a, which every run refuses.  The
+    # errstate as a decorator costs about 0.7 us a call, against 1.2 us as a
+    # with-block and more for a finiteness scan of P.
+    u = p.T.dot(phi.T)
+    return u, (phi.dot(u) if len(phi) > 1 else None)
 
 
 def _factors(p, q, phi, y):
@@ -157,14 +262,14 @@ def _factors(p, q, phi, y):
         rest = y - basis @ y_in
         loss_rate = float(rest @ rest)
         y = y_in
-    u = p.T.dot(phi.T)
+    # For one row, vdot, the same BLAS ddot as dot, gives G without a warning;
+    # a multi-row G is refused before eigh would warn on it.
+    u, g = _products(p, phi)
     b = phi.dot(q) - y
-    # A G that overflows gives a non-finite a, which the runs refuse.  For one
-    # row vdot, the same BLAS ddot as dot here, does so without NumPy's
-    # overflow warning; an errstate would cost more than the checks of a run.
-    if len(phi) == 1:
+    if g is None:
         return [float(np.vdot(phi, u))], u, b, loss_rate
-    g = phi.dot(u)
+    if not _finite(g):
+        raise NumericsError(_NOT_FINITE)
     a, v = np.linalg.eigh(0.5 * (g + g.T))
     return a.tolist(), u.dot(v), b.dot(v), loss_rate
 
@@ -187,13 +292,42 @@ def _rk4_integrals(a, h, nsteps, last, trail=False):
     # c_i = _rk4_decay(a_i): RK4 commutes with the orthogonal change of
     # variables.  With ``trail``, also the running integrals of ``Run``.
     _check_run(a, h, nsteps, last)
-    running = np.empty((len(a), nsteps - 1)) if trail else None
-    rows = map(memoryview, running) if trail else [None] * len(a)
-    c = [_rk4_decay(ai, h, nsteps, last, row) for ai, row in zip(a, rows)]
-    if trail:
-        running = running.T
-        running *= h / 6.0
-    return c, running
+    if not trail:
+        return [_rk4_decay(ai, h, nsteps, last) for ai in a], None
+    running = np.empty((len(a), nsteps - 1))
+    jumps = []
+    c = [_rk4_decay(ai, h, nsteps, last, row, jumps)
+         for ai, row in zip(a, map(memoryview, running))]
+    _fill_jumps(running, jumps, h)
+    return c, running.T
+
+
+_TRAIL_CHUNK = 512  # trail steps of every eigenvalue evaluated together
+
+
+def _fill_jumps(running, jumps, h):
+    # The jumped entries of the trail rows that ``_rk4_decay`` left: row i
+    # gets c0 + dc(j) at column k0 + j - 1 for j = 1 .. count, from one
+    # ``_jump`` over the rows and a chunk of columns at a time.  A row of
+    # lower degree has zeros for its leading coefficients, which leave its
+    # Horner sums bit for bit, so every entry equals the scalar jump of its
+    # length and the trail runs on into the stepped tail.
+    rows = [i for i, jump in enumerate(jumps) if jump is not None and jump[1]]
+    if not rows:
+        return
+    k0, count, rho, s, c0, coefs = zip(*(jumps[i] for i in rows))
+    k0, count, rho, s, c0 = (np.array(x)[:, None] for x in (k0, count, rho, s, c0))
+    width = max(map(len, coefs))
+    padded = np.zeros((width, len(rows), 1))
+    for row, row_coefs in enumerate(coefs):
+        padded[width - len(row_coefs):, row, 0] = row_coefs
+    end = int((k0 + count).max())
+    for lo in range(int(k0.min()), end, _TRAIL_CHUNK):
+        hi = min(lo + _TRAIL_CHUNK, end)
+        j = np.arange(lo + 1, hi + 1) - k0
+        inside = (j >= 1) & (j <= count)
+        dc, _ = _jump(rho, s, np.minimum(np.maximum(j, 0), count), h, padded)
+        running[rows, lo:hi] = np.where(inside, c0 + dc, running[rows, lo:hi])
 
 
 def _rk4(p, q, r, phi, y, h, nsteps, last=None, trail=False):

@@ -3,21 +3,27 @@
 There is one implementation per kernel and no JIT.  `rk4_dense` and
 `rk4_diag` run every block, single- or multi-row, and every diagonal weight
 flow as the row-space recurrence, which must agree with the per-step RK4
-references below to rounding error.  `integrate_ko` is a scalar loop over
-three floats with the same arithmetic as the array reference
-`_integrate_ko_numpy`, and must match it bit for bit.  A kernel that fails
-raises before it writes to p or q (`TestFailureContract`).
+references below to rounding error.  `_rk4_decay` crosses the middle of a
+long run through the Abel coordinate of the RK4 map; it is checked against
+the loop over every step (`_loop_decay`, bit for bit on short runs) and a
+50-digit reference.  `integrate_ko` is a scalar loop over three floats with
+the same arithmetic as the array reference `_integrate_ko_numpy`, and must
+match it bit for bit.  A kernel that fails raises before it writes to p or q
+(`TestFailureContract`).
 """
 
+import decimal
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from ricreg import _kernels
-from ricreg.model import NumericsError
+from ricreg import _kernels, engine, rls
+from ricreg.model import DataBlock, Hyperparams, NumericsError
 
 
 def _rk4_dense_numpy(p, q, r, phi, y, h, nsteps, symmetrize, track_loss):
@@ -601,3 +607,283 @@ class TestDecayOrder:
         # the bound is on the last step's h a s; |h| a <= 0.1 alone lets the
         # ratio fall to 13.7 near a T = 0.8.
         assert 15.0 <= _decay_order_ratio(a, -reach / a, ha * (1.0 - reach)) <= 17.0
+
+
+def _loop_decay(a, h, nsteps, last, trail=None):
+    """``_rk4_decay`` stepped over every step of the run: the reference that
+    short runs equal bit for bit and long ones match in accuracy.  ``trail``
+    receives the running sums after each step of size h, in units of h/6."""
+    s = 1.0
+    c = 0.0
+    for step, count, record in ((h, nsteps - 1, trail), (last, 1, None)):
+        half_ha = 0.5 * step * a
+        ha6 = step * a / 6.0
+        acc = 0.0
+        for k in range(count):
+            g = half_ha * s
+            m2 = 1.0 - g
+            m2sq = m2 * m2
+            m3 = 1.0 - g * m2sq
+            m3sq = m3 * m3
+            m4 = 1.0 - (g + g) * m3sq
+            w = (1.0 + 2.0 * (m2sq + m3sq) + m4 * m4) * (s * s)
+            acc += w
+            s -= ha6 * w
+            if record is not None:
+                record[k] = acc
+        c += acc * (step / 6.0)
+    return c
+
+
+def _loop_trail(a, h, nsteps, last):
+    """c and the running c after each step of size h, from ``_loop_decay``."""
+    trail = np.empty(nsteps - 1)
+    c = _loop_decay(a, h, nsteps, last, memoryview(trail))
+    trail *= h / 6.0
+    return c, trail
+
+
+def _traced(a, h, nsteps, last):
+    """c and the trail of one eigenvalue, as a traced kernel run gets them."""
+    c, running = _kernels._rk4_integrals([a], h, nsteps, last, True)
+    return c[0], running[:, 0]
+
+
+def _decay_reference(a, h, nsteps, last):
+    """The recurrence of ``_loop_decay`` in 50-digit decimal arithmetic, from
+    the same float inputs: c and the running c after each step of size h."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, s, c = decimal.Decimal(a), decimal.Decimal(1), decimal.Decimal(0)
+        trail = []
+        for step in [decimal.Decimal(h)] * (nsteps - 1) + [decimal.Decimal(last)]:
+            g = step * a * s / 2
+            m2sq = (1 - g) ** 2
+            m3sq = (1 - g * m2sq) ** 2
+            m4 = 1 - 2 * g * m3sq
+            w = (1 + 2 * (m2sq + m3sq) + m4 * m4) * s * s
+            c += step / 6 * w
+            s -= step * a / 6 * w
+            trail.append(c)
+        return c, trail[:-1]
+
+
+def _rel_err(values, reference):
+    """The largest relative error of the floats ``values`` against the
+    decimals ``reference``."""
+    return max(float(abs(decimal.Decimal(v) - r) / abs(r))
+               for v, r in zip(np.atleast_1d(values).tolist(), reference))
+
+
+_LIMIT = _kernels._DECAY_LIMIT
+
+
+class TestDecayAccuracy:
+    """The jumped ``_rk4_decay`` is no less accurate than the loop over every
+    step, against a 50-digit reference of the same recurrence, in c and in
+    every entry of its trail; a traced run gives the untraced c, and every
+    trail grows strictly in magnitude."""
+
+    @pytest.mark.parametrize("a, h, nsteps, last", [
+        pytest.param(3.0, 1e-3, 2000, 7e-4, id="forward"),
+        pytest.param(0.5, 1e-2, 300, 4e-3, id="forward-short-steps"),
+        pytest.param(40.0, 1e-3, 1000, 1e-3, id="forward-decades"),
+        pytest.param(0.5e3, 1e-3, 500, 1e-3, id="stiff-0.5"),
+        pytest.param(1.2e2, 1e-2, 100, 1e-2, id="stiff-1.2"),
+        pytest.param(0.999 * _LIMIT / 1e-3, 1e-3, 800, 3e-4, id="stiff-at-the-limit"),
+        pytest.param(0.5, -1e-3, 1000, -1e-3, id="backward-aT-0.5"),
+        pytest.param(1.8, -1e-3, 500, -1e-3, id="backward-aT-0.9"),
+        # a T = 0.94: close to blow-up, where the loop loses most accuracy.
+        pytest.param(0.94, -1e-3, 1000, -1e-3, id="backward-aT-0.94"),
+        pytest.param(4.85, -1e-4, 2000, -1e-4, id="backward-aT-0.97"),
+        pytest.param(-0.9, 1e-3, 1000, 1e-3, id="growing-forward"),
+        pytest.param(0.0, 1e-3, 500, 1e-3, id="zero"),
+        pytest.param(0.0, -1e-3, 500, -1e-3, id="zero-backward"),
+        pytest.param(1e-300, 1e-3, 500, 1e-3, id="tiny"),
+        pytest.param(5e-324, 1e-3, 500, 1e-3, id="subnormal"),
+        pytest.param(5e-324, -1e-3, 500, -1e-3, id="subnormal-backward"),
+        pytest.param(-5e-324, -1e-3, 500, -1e-3, id="subnormal-growing"),
+    ])
+    def test_no_worse_than_the_loop(self, a, h, nsteps, last):
+        assert nsteps - 1 >= _kernels._JUMP_MIN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (c,), _ = _kernels._rk4_integrals([a], h, nsteps, last)
+            traced, trail = _traced(a, h, nsteps, last)
+        assert traced == c
+        loop_c, loop_trail = _loop_trail(a, h, nsteps, last)
+        ref_c, ref_trail = _decay_reference(a, h, nsteps, last)
+        assert _rel_err(c, [ref_c]) <= _rel_err(loop_c, [ref_c])
+        assert _rel_err(trail, ref_trail) <= _rel_err(loop_trail, ref_trail)
+        assert np.all(np.diff(np.abs(trail)) > 0.0)
+
+
+class TestShortRunsAreStepped:
+    """A run of fewer than ``_JUMP_MIN`` full steps is the loop over every
+    step, bit for bit, in c and in its trail."""
+
+    @pytest.mark.parametrize("nsteps", [2, 3, 17, 50, _kernels._JUMP_MIN])
+    @pytest.mark.parametrize("ha, back", [
+        (0.0, False), (1e-300, False), (5e-324, True), (0.05, False), (0.05, True),
+        (1.7, False), (-0.5, False), (0.5, True),
+    ])
+    def test_bit_for_bit(self, nsteps, ha, back):
+        h = -1e-3 if back else 1e-3
+        # A growing run covers a fixed share of its blow-up time, whatever
+        # nsteps; a decaying one has h a = ha.
+        a = ha / (1e-3 * nsteps) if (ha < 0.0) != back else ha / 1e-3
+        last = 0.3 * h
+        c, trail = _traced(a, h, nsteps, last)
+        loop_c, loop_trail = _loop_trail(a, h, nsteps, last)
+        assert c == loop_c == _kernels._rk4_integrals([a], h, nsteps, last)[0][0]
+        assert trail.tobytes() == loop_trail.tobytes()
+
+    def test_one_step(self):
+        assert _kernels._rk4_decay(2.0, 0.1, 1, 0.1) == _loop_decay(2.0, 0.1, 1, 0.1)
+
+
+def _series_mul(p, q, order):
+    out = [Fraction(0)] * order
+    for i, pi in enumerate(p[:order]):
+        for j, qj in enumerate(q[:order - i]):
+            out[i + j] += pi * qj
+    return out
+
+
+def _series_sum(order, *terms):
+    # sum of factor * series over the (factor, series) pairs
+    out = [Fraction(0)] * order
+    for factor, series in terms:
+        for i, x in enumerate(series[:order]):
+            out[i] += factor * x
+    return out
+
+
+def _abel_coefficients(top):
+    """b_1 .. b_top of the Abel function 1/rho + sum_j b_j rho^j of the RK4
+    map F(rho) = rho - rho^2 W(rho/2) / 6, in exact rationals: with
+    R = 1/F - 1/rho - 1, the power rho^(j+1) of A(F) - A(rho) + R = 0 gives
+    b_j, since F^j - rho^j = -j rho^(j+1) + higher powers.  Also returns R."""
+    order = top + 3
+    one = [Fraction(1)]
+    g = [Fraction(0), Fraction(1, 2)]
+    m2 = _series_sum(order, (1, one), (-1, g))
+    m2sq = _series_mul(m2, m2, order)
+    m3 = _series_sum(order, (1, one), (-1, _series_mul(g, m2sq, order)))
+    m3sq = _series_mul(m3, m3, order)
+    m4 = _series_sum(order, (1, one), (-2, _series_mul(g, m3sq, order)))
+    w = _series_sum(order, (1, one), (2, m2sq), (2, m3sq), (1, _series_mul(m4, m4, order)))
+    f = _series_sum(order, (1, [0, 1]), (Fraction(-1, 6), [0, 0] + w))
+    # 1/F = (1/rho) sum_k t^k with t = 1 - F/rho.
+    t = _series_sum(order, (1, one), (-1, f[1:]))
+    inv, power = one + [Fraction(0)] * order, one
+    for _ in range(order):
+        power = _series_mul(power, t, order)
+        inv = _series_sum(order, (1, inv), (1, power))
+    r = _series_sum(order, (1, inv[1:]), (-1, one))
+    powers, b = [one], [None]
+    for _ in range(top):
+        powers.append(_series_mul(powers[-1], f, order))
+    for j in range(1, top + 1):
+        known = r[j + 1] + sum(b[i] * powers[i][j + 1] for i in range(1, j))
+        b.append(known / j)
+    return b, r
+
+
+class TestAbelSeries:
+    """The constants of the jump: the b_j literals, the degree of A by the
+    largest |rho| of a jump, and the head that brings rho below rho*."""
+
+    B, R = _abel_coefficients(26)
+
+    def test_no_log_term_and_a_starts_at_rho_cubed(self):
+        # F = rho / (1 + rho) + O(rho^6): R starts at rho^4, so A has no log
+        # term (that needs a rho^1 in R) and b_1 = b_2 = 0.
+        assert self.R[:4] == [0, 0, 0, 0] and self.R[4] == Fraction(-1, 24)
+        assert self.B[1] == self.B[2] == 0
+        assert self.B[3:8] == [Fraction(-1, 72), 0, Fraction(13, 576),
+                               Fraction(17, 576), Fraction(25, 1344)]
+
+    def test_literals_are_the_nearest_floats(self):
+        abel = _kernels._ABEL
+        assert list(abel) == [float(b) for b in self.B[3:3 + len(abel)]]
+
+    def test_each_degree_reaches_its_bound(self):
+        # The terms left out of A (to j = 26) sum to below 2^-60 / x at the
+        # reach x of each degree, the full degree up to 0.117.
+        top = len(_kernels._ABEL) + 2
+        for reach, degree in (*_kernels._ABEL_DEGREES, (0.117, top)):
+            x = Fraction(reach)
+            left_out = sum(self.B[j] * x ** j for j in range(degree + 1, 27))
+            assert abs(left_out) * x < Fraction(1, 2 ** 60)
+
+    def test_the_head_ends_within_the_reach_of_the_full_degree(self):
+        # Stepping the head's count of steps from any decaying rho > rho*
+        # leaves rho at most 4e-6 above rho*.
+        star = _kernels._RHO_STAR
+        for rho0 in np.linspace(star, _LIMIT, 20_001)[1:-1].tolist():
+            head = math.ceil(1.0 / star - 1.0 / rho0)
+            s, _ = _kernels._steps(rho0, 1.0, 1.0, head, 0.0)
+            assert 0.0 < s * rho0 <= star + 4e-6
+
+    def test_trail_rows_equal_the_scalar_jumps(self):
+        # Rows of different degree, head and length share one array
+        # expression; each entry has the bits of the scalar jump.
+        h = 1e-3
+        jumps = [(0, 700, -1e-4, 1.0, 0.0, _kernels._ABEL[0::-1]),
+                 (10, 1300, 0.0999, 0.0625, 2.5, _kernels._ABEL[::-1]),
+                 None,
+                 (3, 0, 0.05, 0.5, 1.0, _kernels._ABEL[5::-1]),
+                 (0, 1500, 0.003, 1.0, 0.0, _kernels._ABEL[3::-1])]
+        running = np.full((len(jumps), 1600), np.nan)
+        _kernels._fill_jumps(running, jumps, h)
+        for row, jump in zip(running, jumps):
+            k0, count = (0, 0) if jump is None else jump[:2]
+            assert np.isnan(row[:k0]).all() and np.isnan(row[k0 + count:]).all()
+            for j in range(1, count + 1):
+                rho, s, c0, coefs = jump[2:]
+                assert row[k0 + j - 1] == c0 + _kernels._jump(rho, s, j, h, coefs)[0]
+
+    def test_traced_rows_equal_runs_of_one_eigenvalue(self):
+        # A growing, a zero, a tiny, a mild and a stiff eigenvalue in one
+        # traced run over several trail chunks.
+        h, nsteps = 1e-3, 1500
+        a = [-0.5 / (h * nsteps), 0.0, 1e-300, 0.05 / h, 1.7 / h, 40.0]
+        c, running = _kernels._rk4_integrals(a, h, nsteps, h, True)
+        for i, ai in enumerate(a):
+            one_c, one_trail = _traced(ai, h, nsteps, h)
+            assert c[i] == one_c
+            assert running[:, i].tobytes() == one_trail.tobytes()
+
+
+class TestOverflowWithoutWarnings:
+    """A block whose u = P phi^T or G = phi P phi^T overflows is refused with
+    ``NumericsError`` and no NumPy warning, on the RK4 and the exact path."""
+
+    @staticmethod
+    def _refuses(run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="not finite: no step size"):
+                run()
+
+    @pytest.mark.parametrize("fit", [
+        lambda hyper, blocks: engine.fit(hyper, blocks, engine.IntegrationConfig(step_h=1e-3)),
+        rls.rls_fit,
+    ], ids=["riccati", "rls"])
+    def test_overflowing_u(self, fit):
+        # P = diag(1e300, 1): u = P phi^T = (1e310, 1) overflows.
+        hyper = Hyperparams(gamma=[1e-300, 1.0], theta0=[0.0, 0.0])
+        self._refuses(lambda: fit(hyper, [DataBlock(phi=[[1e10, 1.0]], y=[1.0])]))
+
+    @pytest.mark.parametrize("duration", [1.0, -1.0])
+    @pytest.mark.parametrize("kernel", ["rk4", "exact"])
+    def test_overflowing_multi_row_g(self, kernel, duration):
+        phi, y = np.array([[1e200, 1.0], [1.0, 2e200]]), np.ones(2)
+        p, q = np.eye(2), np.zeros(2)
+        if kernel == "rk4":
+            run = lambda: _kernels.rk4_dense(p, q, 0.0, phi, y, 1e-3 * duration, 1000)
+        else:
+            run = lambda: _kernels.exact_dense(p, q, 0.0, phi, y, duration)
+        self._refuses(run)
+        assert np.array_equal(p, np.eye(2)) and not q.any()

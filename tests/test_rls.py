@@ -90,7 +90,8 @@ class TestOverflowingBlock:
     def test_multi_row_block_is_refused(self, op):
         st = RlsState(p=np.eye(2), q=np.zeros(2))
         blk = DataBlock(phi=[[1e200, 1.0], [1.0, 2e200]], y=[1.0, 1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericsError, match="not finite: no step size"):
                 op(st, blk)
 
