@@ -15,7 +15,6 @@ from .engine import (
     add_block,
     extract_solution,
     fit,
-    loss_from_state,
     remove_block,
     shift_bias,
     tune_gamma,
@@ -58,7 +57,6 @@ __all__ = [
     "add_block",
     "extract_solution",
     "fit",
-    "loss_from_state",
     "new_state",
     "pdhg_solve",
     "prox_dual",

@@ -147,11 +147,10 @@ def _rk4_decay(a, h, nsteps, last, trail=None, jumps=None):
     # ``_check_run``) and the last step.  ``trail`` (a float64 memoryview of
     # length nsteps - 1), if given, receives at k the running c after step
     # k + 1 of size h, for every step that is stepped; ``jumps`` then gets
-    # (k0, count, rho, s, c0, coefs) of the jump after step k0, or None, for
-    # ``_fill_jumps``.
+    # (k0, count, rho, s, c0, coefs) of the jump after step k0, if the run
+    # takes one, for ``_fill_jumps``.
     n = nsteps - 1
     s, c, k = 1.0, 0.0, 0
-    jump = None
     if n >= _JUMP_MIN:
         rho = h * a
         head = math.ceil(1.0 / _RHO_STAR - 1.0 / rho) if rho > _RHO_STAR else 0
@@ -163,12 +162,11 @@ def _rk4_decay(a, h, nsteps, last, trail=None, jumps=None):
         x = max(abs(rho), abs(rho / (1.0 + count * rho)))
         degree = next((d for reach, d in _ABEL_DEGREES if x <= reach), len(_ABEL) + 2)
         coefs = _ABEL[degree - 3::-1]
-        jump = (head, count, rho, s, c, coefs)
+        if jumps is not None:
+            jumps.append((head, count, rho, s, c, coefs))
         dc, s = _jump(rho, s, count, h, coefs)
         c += dc
         k = head + count
-    if jumps is not None:
-        jumps.append(jump)
     s, c = _steps(a, s, h, n - k, c, trail, k)
     return _steps(a, s, last, 1, c)[1]
 
@@ -308,17 +306,17 @@ _TRAIL_CHUNK = 512  # trail steps of every eigenvalue evaluated together
 def _fill_jumps(running, jumps, h):
     # The jumped entries of the trail rows that ``_rk4_decay`` left: row i
     # gets c0 + dc(j) at column k0 + j - 1 for j = 1 .. count, from one
-    # ``_jump`` over the rows and a chunk of columns at a time.  A row of
+    # ``_jump`` over the rows and a chunk of columns at a time; the rows of
+    # one run share nsteps, so every row has a jump or none has.  A row of
     # lower degree has zeros for its leading coefficients, which leave its
     # Horner sums bit for bit, so every entry equals the scalar jump of its
     # length and the trail runs on into the stepped tail.
-    rows = [i for i, jump in enumerate(jumps) if jump is not None and jump[1]]
-    if not rows:
+    if not jumps:
         return
-    k0, count, rho, s, c0, coefs = zip(*(jumps[i] for i in rows))
+    k0, count, rho, s, c0, coefs = zip(*jumps)
     k0, count, rho, s, c0 = (np.array(x)[:, None] for x in (k0, count, rho, s, c0))
     width = max(map(len, coefs))
-    padded = np.zeros((width, len(rows), 1))
+    padded = np.zeros((width, len(jumps), 1))
     for row, row_coefs in enumerate(coefs):
         padded[width - len(row_coefs):, row, 0] = row_coefs
     end = int((k0 + count).max())
@@ -327,7 +325,7 @@ def _fill_jumps(running, jumps, h):
         j = np.arange(lo + 1, hi + 1) - k0
         inside = (j >= 1) & (j <= count)
         dc, _ = _jump(rho, s, np.minimum(np.maximum(j, 0), count), h, padded)
-        running[rows, lo:hi] = np.where(inside, c0 + dc, running[rows, lo:hi])
+        np.copyto(running[:, lo:hi], c0 + dc, where=inside)
 
 
 def _rk4(p, q, r, phi, y, h, nsteps, last=None, trail=False):

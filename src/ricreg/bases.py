@@ -13,8 +13,8 @@ Each family has one evaluator per function (``eval``, ``d1``, ``d2``). It
 takes a grid, a float64 array of k points (shape (k,), or (k, 3) for
 ``quad-monomial-3d``), and returns the (k, n) matrix, built one column at a
 time: one NumPy call per column, not one Python call per point. One point is
-a one-point grid, so ``feature_row`` and ``feature_matrix`` agree to the
-last bit.
+a one-point grid: ``feature_matrix(basis, [x])[0]`` is the row of x, with
+the bits it has in any larger grid.
 
 Every entry equals what Python's scalar arithmetic gives for that point, so
 generated data and evaluations do not depend on how many points a call
@@ -40,8 +40,6 @@ __all__ = [
     "BasisSet",
     "get_basis",
     "basis_names",
-    "feature_row",
-    "residual_row",
     "feature_matrix",
     "residual_matrix",
 ]
@@ -185,13 +183,3 @@ def residual_matrix(basis: BasisSet, xs, d_coeff: float, kappa: float) -> np.nda
         raise ValueError(f"basis {basis.name} has no second derivative")
     xs = _grid(basis, xs)
     return d_coeff * basis.d2(xs) + kappa * basis.eval(xs)
-
-
-def feature_row(basis: BasisSet, x) -> np.ndarray:
-    """[phi_1(x), ..., phi_n(x)]: the matrix of the one-point grid [x]."""
-    return feature_matrix(basis, [x])[0]
-
-
-def residual_row(basis: BasisSet, x: float, d_coeff: float, kappa: float) -> np.ndarray:
-    """Row of the steady reaction-diffusion residual: D phi_k'' + kappa phi_k."""
-    return residual_matrix(basis, [x], d_coeff, kappa)[0]

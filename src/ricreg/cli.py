@@ -221,12 +221,12 @@ def cmd_fit(args) -> int:
 # -- add / remove ---------------------------------------------------------------
 
 
-def _cmd_edit(args, forward: bool) -> int:
+def _cmd_edit(args) -> int:
     ck = read_checkpoint(args.checkpoint)
     blocks = read_blocks(args.data)
     cfg = engine.IntegrationConfig(step_h=args.step_size)
     state = ck.state
-    op = engine.add_block if forward else engine.remove_block
+    op = engine.add_block if args.command == "add" else engine.remove_block
     for block in blocks:
         state = op(state, block, cfg)
     solution = engine.extract_solution(state, ck.hyperparams)
@@ -236,14 +236,6 @@ def _cmd_edit(args, forward: bool) -> int:
         args.pretty,
     )
     return EXIT_OK
-
-
-def cmd_add(args) -> int:
-    return _cmd_edit(args, forward=True)
-
-
-def cmd_remove(args) -> int:
-    return _cmd_edit(args, forward=False)
 
 
 # -- tune -----------------------------------------------------------------------
@@ -321,6 +313,13 @@ def cmd_pdhg(args) -> int:
                 "checkpoint is not a reusable inner state for these step sizes "
                 f"(need uniform gamma = {expected!r})"
             )
+        # Every fit stores elapsed = the total weight of its stream.
+        total = float(sum(b.lam for b in blocks))
+        if not math.isclose(inner_ck.state.elapsed, total, rel_tol=1e-12):
+            raise _UsageError(
+                f"checkpoint was fitted on a stream of total weight "
+                f"{inner_ck.state.elapsed!r}, {args.data} has total weight {total!r}"
+            )
         inner_state = inner_ck.state
     try:
         result = pdhg.pdhg_solve(n, blocks, spec, cfg, riccati_cfg, inner_state)
@@ -371,27 +370,31 @@ def _blank(row: list) -> bool:
 
 
 def _truth_column(path, first: list, column: str | None) -> tuple[int, bool]:
-    """The index of the column to read, and whether ``first`` is a header."""
+    """The index of the column to read, and whether ``first`` is a header,
+    which a named column needs."""
     try:
         [float(v) for v in first]
     except ValueError:  # a header row
         if column is not None and column not in first:
             raise ValueError(f"{path}: no column {column!r} in {first}")
         return (len(first) - 1 if column is None else first.index(column)), True
+    if column is not None:
+        raise ValueError(f"{path}: no header row, so no column {column!r}")
     return len(first) - 1, False
 
 
 def _read_truth_csv(path, column: str | None) -> np.ndarray:
     """One column of a truth CSV, read in one bulk pass; blank lines are skipped.
 
-    A first row that parses as numbers is data (the file has no header) and
-    its last column is read; otherwise it is the header, and ``column`` (by
-    default the last one) is read.  The lines split at CRLF, CR and LF, as
-    csv splits them, and ``np.loadtxt`` parses the column with the routine
-    ``float`` uses.  Text with a quote or a NUL, and any file that pass
-    cannot take whole, goes through a ``csv.reader`` loop over the same text
-    instead: it accepts what ``float`` accepts, and raises ``ValueError``
-    naming the file and line for a short row or a value that is not finite.
+    A first row that parses as numbers is data (the file has no header): its
+    last column is read, and a named ``column`` is refused.  Otherwise it is
+    the header, and ``column`` (by default the last one) is read.  The lines
+    split at CRLF, CR and LF, as csv splits them, and ``np.loadtxt`` parses
+    the column with the routine ``float`` uses.  Text with a quote or a NUL,
+    and any file that pass cannot take whole, goes through a ``csv.reader``
+    loop over the same text instead: it accepts what ``float`` accepts, and
+    raises ``ValueError`` naming the file and line for a short row or a value
+    that is not finite.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -541,12 +544,12 @@ def build_parser() -> _Parser:
     p = common(sub.add_parser("add", help="incorporate blocks into a checkpoint"),
                checkpoint="required", out="required")
     p.add_argument("data")
-    p.set_defaults(func=cmd_add)
+    p.set_defaults(func=_cmd_edit)
 
     p = common(sub.add_parser("remove", help="remove previously added blocks"),
                checkpoint="required", out="required")
     p.add_argument("data")
-    p.set_defaults(func=cmd_remove)
+    p.set_defaults(func=_cmd_edit)
 
     p = common(sub.add_parser("tune", help="retune data or regularization weights"),
                checkpoint="required", out="required")

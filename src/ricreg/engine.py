@@ -48,7 +48,6 @@ __all__ = [
     "ParetoTrace",
     "fit",
     "extract_solution",
-    "loss_from_state",
     "add_block",
     "remove_block",
     "tune_lambda",
@@ -189,16 +188,9 @@ def fit(hyper: Hyperparams, blocks, cfg: IntegrationConfig) -> RiccatiState:
     return state
 
 
-def loss_from_state(state: RiccatiState, hyper: Hyperparams) -> float:
-    """Minimal loss recovered from the value function: -S(x) + theta0'Gamma theta0/2."""
-    if state.r is None:
-        raise ValueError("loss accumulator was not tracked for this state")
-    x = hyper.evaluation_point()
-    return _loss_identity(state, hyper, x, state.p.dot(x))
-
-
 def _loss_identity(state, hyper, x, px) -> float:
-    # loss_from_state at the evaluation point x, given px = P x.
+    # The minimal loss from the value function, -S(x) + theta0' Gamma theta0 / 2,
+    # at the evaluation point x = Gamma theta0, given px = P x.
     s_value = 0.5 * float(x.dot(px)) + float(state.q.dot(x)) + state.r
     return -s_value + 0.5 * float(hyper.theta0.dot(x))
 

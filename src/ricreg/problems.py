@@ -150,10 +150,6 @@ class KoProblem:
     solver_h: float = 1e-4
     fd_h: float = 1e-3
 
-    @property
-    def blocks(self) -> tuple:
-        return tuple(b for eq in self.equations for b in eq)
-
     def trajectory_on(self, ts) -> np.ndarray:
         """Linear interpolation of the reference trajectory at times ``ts``."""
         ts = np.asarray(ts, dtype=float)

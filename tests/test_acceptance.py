@@ -25,7 +25,6 @@ from ricreg import (
     add_block,
     extract_solution,
     fit,
-    loss_from_state,
     new_state,
     pdhg_solve,
     remove_block,
@@ -35,7 +34,7 @@ from ricreg import (
     tune_lambda,
     write_checkpoint,
 )
-from ricreg.bases import feature_matrix, get_basis, residual_row
+from ricreg.bases import feature_matrix, get_basis
 from ricreg.bench import bench_incremental
 from ricreg.cli import main
 from ricreg.problems import (
@@ -350,7 +349,7 @@ def test_12_structural_invariants():
                 expected = blk.lam * blk.phi.T @ blk.phi
                 assert np.max(np.abs(growth - expected)) <= 1e-8
             direct = extract_solution(state, hyper, blocks).total_loss
-            recovered = loss_from_state(state, hyper)
+            recovered = extract_solution(state, hyper).total_loss
             assert abs(direct - recovered) <= 1e-8 * max(abs(direct), 1e-30)
         ko = gen_ko(grid_count=4, solver_h=1e-3, fd_h=1e-2)
         invariant = ko.states[:, 0] ** 2 - ko.states[:, 1] ** 2

@@ -7,10 +7,8 @@ from ricreg import problems
 from ricreg.bases import (
     basis_names,
     feature_matrix,
-    feature_row,
     get_basis,
     residual_matrix,
-    residual_row,
 )
 from ricreg.rng import Xoshiro256pp
 
@@ -112,17 +110,17 @@ class TestRegistry:
 
 class TestFeatureRow:
     def test_poly_trig_at_origin(self):
-        row = feature_row(get_basis("poly-trig-10"), 0.0)
+        row = feature_matrix(get_basis("poly-trig-10"), [0.0])[0]
         np.testing.assert_array_equal(row, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
 
     def test_fourier_quarter_period(self):
-        row = feature_row(get_basis("fourier-21"), 0.25)
+        row = feature_matrix(get_basis("fourier-21"), [0.25])[0]
         assert row[0] == 1.0
         assert row[1] == pytest.approx(1.0, abs=1e-15)  # sin(2 pi x)
         assert row[2] == pytest.approx(0.0, abs=1e-15)  # cos(2 pi x)
 
     def test_quadratic_monomials(self):
-        row = feature_row(get_basis("quad-monomial-3d"), (1.0, 0.8, 0.5))
+        row = feature_matrix(get_basis("quad-monomial-3d"), [(1.0, 0.8, 0.5)])[0]
         np.testing.assert_allclose(
             row, [1, 1, 0.8, 0.5, 1, 0.64, 0.25, 0.8, 0.4, 0.5], atol=1e-15
         )
@@ -132,36 +130,36 @@ class TestFeatureRow:
         for name in ("poly-trig-10", "fourier-21"):
             basis = get_basis(name)
             for x in rng.uniform(0, 1, size=10):
-                assert feature_row(basis, float(x)).shape == (basis.n,)
+                assert feature_matrix(basis, [float(x)])[0].shape == (basis.n,)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="scalar"):
-            feature_row(get_basis("poly-trig-10"), (1.0, 2.0, 3.0))
+            feature_matrix(get_basis("poly-trig-10"), [(1.0, 2.0, 3.0)])[0]
         with pytest.raises(ValueError, match="length-3"):
-            feature_row(get_basis("quad-monomial-3d"), 1.0)
+            feature_matrix(get_basis("quad-monomial-3d"), [1.0])[0]
 
 
 class TestResidualRow:
     D, KAPPA = 0.01, -1.0
 
     def test_constant_element_has_no_diffusion_term(self):
-        row = residual_row(get_basis("fourier-21"), 0.4, self.D, self.KAPPA)
+        row = residual_matrix(get_basis("fourier-21"), [0.4], self.D, self.KAPPA)[0]
         assert row[0] == self.KAPPA
 
     def test_sine_element_at_quarter_period(self):
         # D * (-(2 pi)^2 sin(pi/2)) + kappa * sin(pi/2)
-        row = residual_row(get_basis("fourier-21"), 0.25, self.D, self.KAPPA)
+        row = residual_matrix(get_basis("fourier-21"), [0.25], self.D, self.KAPPA)[0]
         expected = -0.01 * (2 * math.pi) ** 2 - 1.0
         assert row[1] == pytest.approx(expected, abs=1e-12)
         assert row[1] == pytest.approx(-1.3947841760435743, abs=1e-12)
 
     def test_cosine_element_vanishes_at_quarter_period(self):
-        row = residual_row(get_basis("fourier-21"), 0.25, self.D, self.KAPPA)
+        row = residual_matrix(get_basis("fourier-21"), [0.25], self.D, self.KAPPA)[0]
         assert abs(row[2]) < 1e-15
 
     def test_requires_second_derivative(self):
         with pytest.raises(ValueError, match="second derivative"):
-            residual_row(get_basis("quad-monomial-3d"), 0.5, self.D, self.KAPPA)
+            residual_matrix(get_basis("quad-monomial-3d"), [0.5], self.D, self.KAPPA)[0]
 
 
 class TestDerivativesAgainstFiniteDifferences:
@@ -224,8 +222,8 @@ class TestGridAgainstPointReference:
         xs = np.linspace(0.0, 10.0, 101)
         mat = residual_matrix(basis, xs, 0.01, -1.0)
         for i, x in enumerate(xs.tolist()):
-            assert np.array_equal(feature_row(basis, x), feature_matrix(basis, xs)[i])
-            assert np.array_equal(residual_row(basis, x, 0.01, -1.0), mat[i])
+            assert np.array_equal(feature_matrix(basis, [x])[0], feature_matrix(basis, xs)[i])
+            assert np.array_equal(residual_matrix(basis, [x], 0.01, -1.0)[0], mat[i])
 
 
 class TestGeneratorsAgainstPointReference:
@@ -283,7 +281,7 @@ class TestFeatureMatrix:
         xs = [0.0, 0.5, 1.0]
         mat = feature_matrix(basis, xs)
         assert mat.shape == (3, 10)
-        np.testing.assert_array_equal(mat[0], feature_row(basis, 0.0))
+        np.testing.assert_array_equal(mat[0], feature_matrix(basis, [0.0])[0])
 
     @pytest.mark.parametrize("name", ["poly-trig-10", "fourier-21"])
     def test_bit_identical_to_stacked_rows(self, name):
@@ -291,7 +289,8 @@ class TestFeatureMatrix:
         grids = [np.linspace(0.0, 10.0, 1001), np.linspace(0.0, 1.0, 1001),
                  [0.0, -0.5, 1e-300, 3, 7.25]]
         for xs in grids:
-            reference = np.stack([feature_row(basis, float(x)) for x in np.asarray(xs)])
+            reference = np.stack([feature_matrix(basis, [float(x)])[0]
+                                  for x in np.asarray(xs)])
             mat = feature_matrix(basis, xs)
             assert mat.dtype == reference.dtype
             assert np.array_equal(mat, reference)

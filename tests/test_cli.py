@@ -531,6 +531,29 @@ class TestPdhg:
         )
         assert code == 1
 
+    def test_checkpoint_fitted_on_another_stream_rejected(self, sin_data, tmp_path, capsys):
+        # The right gamma, but an inner state of the first 50 of 200 blocks:
+        # its elapsed, the total weight of its stream, gives it away.
+        path, _ = sin_data
+        head = tmp_path / "head.jsonl"
+        write_blocks(read_blocks(path)[:50], head)
+        inner = tmp_path / "inner.json"
+        code, _ = run(capsys, "fit", str(head), "--method", "rls", "--gamma", "2",
+                      "--out", str(inner))
+        assert code == 0 and read_checkpoint(inner).state.elapsed == 50.0
+        out = tmp_path / "out.json"
+        code = main(["pdhg", str(path), "--reg", "l1", "--reg-weight", "0.1",
+                     "--checkpoint", str(inner), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err == (f"error: checkpoint was fitted on a stream of total weight "
+                                f"50.0, {path} has total weight 200.0\n")
+        # The inner state of the whole stream passes.
+        run(capsys, "fit", str(path), "--method", "rls", "--gamma", "2", "--out", str(inner))
+        code, payload = run(capsys, "pdhg", str(path), "--reg", "l1", "--reg-weight", "0.1",
+                            "--checkpoint", str(inner))
+        assert code == 0 and payload["converged"]
+
     def test_empty_data_takes_the_dimension_from_the_reg_weight_vector(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("")
@@ -644,7 +667,20 @@ class TestTruthCsv:
         headerless.write_text("0.0,1.0\n5.0,2.0\n10.0,3.0\n")
         expected = self._eval(capsys, ck, with_header)
         assert expected[0] == 0
-        assert self._eval(capsys, ck, headerless, "--truth-column", "y") == expected
+        assert self._eval(capsys, ck, headerless) == expected
+
+    @pytest.mark.parametrize("text", ["0.0,1.0\n5.0,2.0\n10.0,3.0\n",
+                                      '0.0,1.0\n5.0,"2.0"\n10.0,3.0\n'],
+                             ids=["bulk", "row-loop"])
+    def test_headerless_file_refuses_a_named_column(self, ck, tmp_path, capsys, text):
+        # Without a header there are no column names: the named column is
+        # refused, not replaced by the last one.
+        truth = tmp_path / "nh.csv"
+        truth.write_text(text)
+        for column in ("y", "nonexistent"):
+            code, out, err = self._eval(capsys, ck, truth, "--truth-column", column)
+            assert code == cli.EXIT_USAGE and out == ""
+            assert err == f"error: {truth}: no header row, so no column {column!r}\n"
 
     @pytest.mark.parametrize("text, line, message", [
         ("x,y\n0.0,1.0\n\n0.5\n", 4, "short row: expected at least 2 columns, got 1"),
@@ -741,10 +777,22 @@ def _line_of(error, path):
     return int(number) if not head and sep and number.isdigit() else None
 
 
+def _headerless(path):
+    """Whether the first non-blank row of a truth file parses as numbers."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = next((row for row in csv.reader(fh) if not _blank(row)), None)
+    try:
+        [float(v) for v in first]
+    except ValueError:
+        return False
+    return True
+
+
 def _assert_reader_matches_reference(path, column):
     """The reader returns the reference's bits or raises its error, except
     that it refuses a non-finite value, at its line, where the reference took
-    it or failed on a later line."""
+    it or failed on a later line, and a named column of a file without a
+    header, where the reference read the last column."""
     try:
         expected, error = _read_truth_csv(path, column), None
     except Exception as exc:
@@ -752,6 +800,9 @@ def _assert_reader_matches_reference(path, column):
     try:
         got = cli._read_truth_csv(path, column)
     except Exception as exc:
+        if str(exc) == f"{path}: no header row, so no column {column!r}":
+            assert column is not None and _headerless(path)
+            return
         cell = str(exc).partition(": not a finite number: ")[2]
         line = _line_of(exc, path)
         if cell and line is not None and (
@@ -1125,10 +1176,11 @@ class TestCalibrationWorkflows:
 
     @staticmethod
     def _residual_block(x, f_value):
-        from ricreg.bases import get_basis, residual_row
+        from ricreg.bases import get_basis, residual_matrix
         from ricreg.problems import REACTION_DIFFUSIVITY, REACTION_RATE
 
-        row = residual_row(get_basis("fourier-21"), x, REACTION_DIFFUSIVITY, REACTION_RATE)
+        basis = get_basis("fourier-21")
+        row = residual_matrix(basis, [x], REACTION_DIFFUSIVITY, REACTION_RATE)[0]
         return DataBlock(phi=row[None, :], y=[f_value])
 
     @staticmethod
@@ -1167,7 +1219,7 @@ class TestCalibrationWorkflows:
         assert err_after < err_before
 
     def test_adding_coverage_near_peaks_halves_source_error(self, tmp_path, capsys):
-        from ricreg.bases import get_basis, residual_row
+        from ricreg.bases import get_basis, residual_matrix
         from ricreg.problems import (
             REACTION_DIFFUSIVITY,
             REACTION_RATE,
@@ -1203,10 +1255,8 @@ class TestCalibrationWorkflows:
         )
         assert code == 0
         grid = boundary_only.eval_grid
-        design = np.stack(
-            [residual_row(get_basis("fourier-21"), float(x),
-                          REACTION_DIFFUSIVITY, REACTION_RATE) for x in grid]
-        )
+        design = residual_matrix(get_basis("fourier-21"), grid, REACTION_DIFFUSIVITY,
+                                 REACTION_RATE)
         reference = truth_f(grid)
         err_before = relative_l2(design @ np.array(before["theta_star"]), reference)
         err_after = relative_l2(design @ np.array(after["theta_star"]), reference)

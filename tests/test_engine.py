@@ -17,7 +17,6 @@ from ricreg import (
     add_block,
     extract_solution,
     fit,
-    loss_from_state,
     new_state,
     remove_block,
     rls_add,
@@ -302,7 +301,7 @@ class TestIntegrateBlock:
         blk = DataBlock(phi=[[1.0, 1.0]], y=[1.0])
         st = run_for(new_state(hyper), blk, 1.0, CFG)
         direct = extract_solution(st, hyper, [blk]).total_loss
-        recovered = loss_from_state(st, hyper)
+        recovered = extract_solution(st, hyper).total_loss
         assert abs(direct - recovered) <= 1e-8 * abs(direct)
 
 
@@ -887,7 +886,7 @@ class TestShiftBias:
 
 
 class TestSolutionReference:
-    """extract_solution, shift_bias and loss_from_state against their formulas
+    """extract_solution and shift_bias against their formulas
     written out: theta = P x + q and loss = -(x'P x / 2 + q'x + r) + theta0'x / 2
     at x = gamma * theta0, compared by their bytes."""
 
@@ -918,12 +917,9 @@ class TestSolutionReference:
                 assert sol.theta_star.tobytes() == theta.tobytes()
             if not tracked:
                 assert solutions[0].total_loss is None and solutions[1].total_loss is None
-                with pytest.raises(ValueError, match="not tracked"):
-                    loss_from_state(state, h)
                 continue
             s_value = 0.5 * float(x @ (state.p @ x)) + float(state.q @ x) + state.r
             loss = -s_value + 0.5 * float(h.theta0 @ x)
-            assert self._bytes(loss_from_state(state, h)) == self._bytes(loss)
             for sol in solutions[:2]:
                 assert self._bytes(sol.total_loss) == self._bytes(loss)
 
@@ -1076,7 +1072,7 @@ class TestFlowInvariants:
         hyper, blocks = rand_problem(rng)
         st = fit(hyper, blocks, CFG)
         direct = extract_solution(st, hyper, blocks).total_loss
-        recovered = loss_from_state(st, hyper)
+        recovered = extract_solution(st, hyper).total_loss
         assert abs(direct - recovered) <= 1e-8 * abs(direct)
 
 

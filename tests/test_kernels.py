@@ -832,13 +832,12 @@ class TestAbelSeries:
         h = 1e-3
         jumps = [(0, 700, -1e-4, 1.0, 0.0, _kernels._ABEL[0::-1]),
                  (10, 1300, 0.0999, 0.0625, 2.5, _kernels._ABEL[::-1]),
-                 None,
                  (3, 0, 0.05, 0.5, 1.0, _kernels._ABEL[5::-1]),
                  (0, 1500, 0.003, 1.0, 0.0, _kernels._ABEL[3::-1])]
         running = np.full((len(jumps), 1600), np.nan)
         _kernels._fill_jumps(running, jumps, h)
         for row, jump in zip(running, jumps):
-            k0, count = (0, 0) if jump is None else jump[:2]
+            k0, count = jump[:2]
             assert np.isnan(row[:k0]).all() and np.isnan(row[k0 + count:]).all()
             for j in range(1, count + 1):
                 rho, s, c0, coefs = jump[2:]

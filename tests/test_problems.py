@@ -6,7 +6,7 @@ import pytest
 
 from ricreg import DataBlock, Hyperparams, solve_direct, write_blocks
 from ricreg import _kernels
-from ricreg.bases import feature_matrix, feature_row, get_basis, residual_matrix
+from ricreg.bases import feature_matrix, get_basis, residual_matrix
 from ricreg.problems import (
     KO_HORIZON,
     KO_INITIAL,
@@ -240,7 +240,8 @@ class TestGenKo:
             assert relative_l2(sim[:, i], ref[:, i]) < 1e-5
 
     def test_replay_right_hand_side_is_the_basis_expansion(self):
-        # Reference: the array RK4 step with rhs(x) = coeffs @ feature_row(x).
+        # Reference: the array RK4 step with rhs(x) = coeffs @ phi(x), phi(x) the
+        # one-point feature matrix.
         # The replay sums the same terms in another order, so the two agree
         # to rounding.
         coeffs = np.random.default_rng(11).normal(size=(3, 10))
@@ -249,10 +250,10 @@ class TestGenKo:
         x = np.array([0.3, -0.2, 0.5])
         expected = [x]
         for _ in range(50):
-            k1 = coeffs @ feature_row(basis, x)
-            k2 = coeffs @ feature_row(basis, x + 0.5 * h * k1)
-            k3 = coeffs @ feature_row(basis, x + 0.5 * h * k2)
-            k4 = coeffs @ feature_row(basis, x + h * k3)
+            k1 = coeffs @ feature_matrix(basis, [x])[0]
+            k2 = coeffs @ feature_matrix(basis, [x + 0.5 * h * k1])[0]
+            k3 = coeffs @ feature_matrix(basis, [x + 0.5 * h * k2])[0]
+            k4 = coeffs @ feature_matrix(basis, [x + h * k3])[0]
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             expected.append(x)
         times, sim = simulate_quadratic_system(coeffs, expected[0], 50 * h, h)

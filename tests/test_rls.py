@@ -14,8 +14,8 @@ from ricreg import (
     NumericsError,
     RiccatiState,
     RlsState,
+    extract_solution,
     fit,
-    loss_from_state,
     new_state,
     rls_add,
     rls_fit,
@@ -235,7 +235,8 @@ class TestExactState:
             hyper, blocks = rand_instance(rng, n, m, count)
             st = rls_fit(hyper, blocks)
             expected = solve_direct(hyper, blocks).total_loss
-            assert loss_from_state(st, hyper) == pytest.approx(expected, rel=1e-12)
+            loss = extract_solution(st, hyper).total_loss
+            assert loss == pytest.approx(expected, rel=1e-12)
             assert st.elapsed == pytest.approx(sum(b.lam for b in blocks), rel=1e-15)
 
     def test_add_and_remove_carry_the_loss(self):
@@ -244,10 +245,12 @@ class TestExactState:
             hyper, blocks = rand_instance(rng, n, m, 12)
             added = rls_add(rls_fit(hyper, blocks[:-1]), blocks[-1])
             expected = solve_direct(hyper, blocks).total_loss
-            assert loss_from_state(added, hyper) == pytest.approx(expected, rel=1e-12)
+            loss = extract_solution(added, hyper).total_loss
+            assert loss == pytest.approx(expected, rel=1e-12)
             removed = rls_remove(rls_fit(hyper, blocks), blocks[0])
             expected = solve_direct(hyper, blocks[1:]).total_loss
-            assert loss_from_state(removed, hyper) == pytest.approx(expected, rel=1e-12)
+            loss = extract_solution(removed, hyper).total_loss
+            assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_untracked_loss_stays_untracked(self):
         rng = np.random.default_rng(12)
