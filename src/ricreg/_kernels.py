@@ -12,9 +12,23 @@ kernels integrate with ``_rk4_decay``, one scalar RK4 recurrence per
 eigenvalue, equal to the per-step references in ``tests/test_kernels.py`` to
 rounding: a run of fewer than ``_JUMP_MIN`` steps is stepped, and a longer
 one costs O(1) whatever its step count, since its middle is crossed in closed
-form through the Abel coordinate of the RK4 map; ``exact_dense`` takes
-the closed form c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and
-refuses a run with a non-finite a or some 1 + a T <= 0.  The diagonal flow
+form through the Abel coordinate of the RK4 map.  ``_JUMP_MIN`` = 32 is where
+jumping stops being slower for an untraced run; the integrals of m
+eigenvalues cost, stepped -> jumped (2 vCPUs, numpy 2.4, best of 15):
+
+    run                            steps   stepped    jumped
+    untraced, m = 1,  h a = 1.7      28     17.2 us   17.5 us
+    untraced, m = 1,  h a = 1.7      32     17.7      16.4
+    untraced, m = 4,  h a = 0.05     48     69.9      32.9
+    untraced, m = 21, h a = 0.05     32    283.4     148.8
+    traced,   m = 4,  h a = 0.1      32     48.2     151.2
+    traced,   m = 21, h a = 0.05     40    284.1     272.3
+
+A traced run, which fills its trail with one array jump, is slower jumped
+below 300 to 400 trail entries; it jumps from the same length, so that it
+ends in the bits of an untraced run.  ``exact_dense`` takes the closed form
+c = T / (1 + a T), the Woodbury update of ``ricreg.rls``, and refuses a run
+with a non-finite a or some 1 + a T <= 0.  The diagonal flow
 with weights d >= 0 is the data flow of phi = diag(sqrt(d)), restricted to the
 rows with d > 0, and y = 0, so ``rk4_dense`` and ``rk4_diag`` share one body
 (``_rk4``).  The only other loop is ``integrate_ko``, a scalar RK4 loop over
@@ -37,12 +51,14 @@ Runge-Kutta steps of signed size ``h``, the final one of size ``last`` when
 given.  Every kernel returns a ``Run``: the updated r and the factors W and
 bh.  Every run advances r (m more products bh_i^2 c_i); the engine drops it
 for a state without the loss accumulator.  P always leaves a kernel exactly
-symmetric.  A kernel either raises ``NumericsError`` before its first step,
-or writes an update whose integrals c are all finite: ``_check_run`` refuses
-an RK4 run from the eigenvalues a alone (naming a step that passes, where one
-does), and ``exact_dense`` refuses one with a non-finite a or past the
-blow-up time.  Whether p, q and r come out finite is checked by what holds
-them: the new state, or the trace point.
+symmetric: ``_update`` adds an explicit copy of its transpose, the bits of
+NumPy's own buffered ``p += p.T`` at less cost.  A kernel either raises
+``NumericsError`` before its first step, or writes an update whose integrals
+c are all finite: ``_check_run`` refuses an RK4 run from the eigenvalues a
+alone (naming a step that passes, where one does), and ``exact_dense``
+refuses one with a non-finite a or past the blow-up time.  Whether p, q and
+r come out finite is checked by what holds them: the new state, or the trace
+point.
 """
 
 from __future__ import annotations
@@ -71,7 +87,12 @@ _USE_NUMBA = False
 # e = rho / (1 + k rho), and c grows by (rho - rho_k) / (h a^2), written
 # without a division by a.
 _RHO_STAR = 0.1  # the largest |rho| a jump starts or ends at
-_JUMP_MIN = 64  # a run of fewer full steps is stepped whole
+# A run of fewer full steps is stepped whole: the break-even of the table
+# in the module docstring (a jump costs about 5-8 us per eigenvalue, a step
+# 0.3-0.4 us, and a stiff head of up to 1 / rho* steps is stepped before the
+# jump).  It must exceed that longest head, or a jumped run would step past
+# its trail.
+_JUMP_MIN = 32
 # b_3 .. b_17 (b_4 = 0), each the float nearest the exact fraction.
 _ABEL = (-1 / 72, 0.0, 13 / 576, 17 / 576, 25 / 1344, 17 / 4608, -121 / 31104,
          -89 / 46080, 19931 / 3649536, 431 / 82944, -983317 / 60383232,
@@ -277,9 +298,12 @@ def _update(p, q, r, w, bh, c, loss):
     # returns the new r.  Every c_i is finite.
     wc = w * np.array(c)
     p -= wc.dot(w.T)
-    # One pass over the result makes both p0 and the update symmetric.  NumPy
-    # buffers p.T, which overlaps p, so each entry sums the old p_ij + p_ji.
-    p += p.T
+    # One pass over the result makes both p0 and the update symmetric: each
+    # entry sums the old p_ij + p_ji.  The explicit copy of p.T gives the bits
+    # of NumPy's own buffering of the overlapping p.T, at less cost: the
+    # symmetrization alone took 2.9-5.2 -> 1.7 us at n = 10 and 19-24 ->
+    # 12-13 us at n = 100 (best of 15 x 1000).
+    p += p.T.copy()
     p *= 0.5
     q -= wc.dot(bh)
     fit_loss = sum([bi * bi * ci for bi, ci in zip(bh.tolist(), c)])

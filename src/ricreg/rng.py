@@ -70,7 +70,30 @@ class Xoshiro256pp:
 
     def gaussian(self) -> float:
         """Standard normal deviate; consumes exactly two uniforms."""
-        u1 = self.uniform()
-        u2 = self.uniform()
+        # Two steps of ``next_raw`` inline, with the words and the final state
+        # of two ``uniform()`` calls: about 10% faster, and the generators of
+        # ``ricreg.problems`` spend most of their time here.
+        s0, s1, s2, s3 = self._s
+        x = (s0 + s3) & _MASK64
+        word1 = ((x << 23 | x >> 41) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
+        x = (s0 + s3) & _MASK64
+        word2 = ((x << 23 | x >> 41) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        u1 = (word1 >> 11) * 2.0**-53
+        u2 = (word2 >> 11) * 2.0**-53
         # 1 - u1 lies in (0, 1], keeping the log argument strictly positive.
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)

@@ -554,6 +554,45 @@ class TestPdhg:
                             "--checkpoint", str(inner))
         assert code == 0 and payload["converged"]
 
+    def test_checkpoint_of_another_stream_of_the_same_weight_rejected(
+            self, sin_data, tmp_path, capsys):
+        # The right gamma and total weight, but the inner state of the seed-1
+        # stream: its q is not P Phi' Lambda y of the seed-0 stream.
+        path, _ = sin_data
+        other = tmp_path / "other.jsonl"
+        run(capsys, "gen", "sin10x", "--count", "200", "--seed", "1", "--out", str(other))
+        inner = tmp_path / "inner.json"
+        run(capsys, "fit", str(other), "--method", "rls", "--gamma", "2", "--out", str(inner))
+        assert read_checkpoint(inner).state.elapsed == 200.0
+        out = tmp_path / "out.json"
+        code = main(["pdhg", str(path), "--reg", "l1", "--reg-weight", "0.1",
+                     "--checkpoint", str(inner), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.startswith(
+            f"error: checkpoint was not fitted on {path}: its q is not P Phi' Lambda y "
+            "of this stream (max-norm difference ")
+
+    def test_rk4_inner_state_passes_and_one_moved_target_does_not(self, tmp_path, capsys):
+        # An RK4 inner fit at step size 1e-2 is reused; the same stream with
+        # one of its 30 targets moved by 1 is refused.
+        rng = np.random.default_rng(5)
+        blocks = [DataBlock(phi=rng.normal(size=(1, 3)), y=rng.normal(size=1))
+                  for _ in range(30)]
+        data, moved = tmp_path / "data.jsonl", tmp_path / "moved.jsonl"
+        write_blocks(blocks, data)
+        blocks[7] = DataBlock(phi=blocks[7].phi, y=blocks[7].y + 1.0)
+        write_blocks(blocks, moved)
+        inner = tmp_path / "inner.json"
+        argv = ["--reg", "l1", "--reg-weight", "0.1"]
+        code, first = run(capsys, "pdhg", str(data), *argv, "--step-size", "1e-2",
+                          "--out", str(inner))
+        assert code == 0
+        code, again = run(capsys, "pdhg", str(data), *argv, "--checkpoint", str(inner))
+        assert code == 0 and again["theta_star"] == first["theta_star"]
+        assert main(["pdhg", str(moved), *argv, "--checkpoint", str(inner)]) == 1
+        assert "its q is not P Phi' Lambda y" in capsys.readouterr().err
+
     def test_empty_data_takes_the_dimension_from_the_reg_weight_vector(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("")

@@ -98,6 +98,19 @@ class TestRngStream:
         rng = Xoshiro256pp(seed)
         assert [rng.next_raw() for _ in range(10_000)] == _reference_words(seed, 10_000)
 
+    def test_gaussian_is_box_muller_of_two_uniforms(self):
+        # The inlined gaussian() against Box-Muller of two uniforms of the
+        # reference words, over 10^5 draws, and the stream runs on after them.
+        count = 100_000
+        rng = Xoshiro256pp(3)
+        got = [rng.gaussian() for _ in range(count)]
+        words = _reference_words(3, 2 * count + 1)
+        u = [(w >> 11) * 2.0**-53 for w in words]
+        want = [math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+                for u1, u2 in zip(u[0:-1:2], u[1::2])]
+        assert got == want
+        assert rng.next_raw() == words[-1]
+
 
 class TestGenSin10x:
     def test_same_seed_is_bit_identical(self):
